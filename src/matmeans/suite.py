@@ -12,6 +12,7 @@ invariant norms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -22,24 +23,13 @@ import numpy as np
 
 from .compound import compound_matrix
 from .densela import (
-    pd_log,
-    pd_power,
     random_pd,
     singular_values,
     sym_eigen,
     sym_exp,
     symmetrize,
 )
-from .means import (
-    arithmetic_path,
-    cross_term,
-    geometric_mean,
-    hermitian_part,
-    log_euclidean_spectrum,
-    power_mean_multi_spectrum,
-    power_mean_spectrum,
-    sandwich_mean_spectrum,
-)
+from .means import MultiTable, PairTable, geometric_mean, hermitian_part
 from .spectra import LOG_CLAMP, eigenvalues_desc
 
 __all__ = [
@@ -118,9 +108,16 @@ class InstanceSpec:
             raise ValueError("p grid must be strictly ascending")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceData:
-    """Materialized matrices for one instance."""
+    """Materialized matrices for one instance, with their table of means.
+
+    ``means`` holds every mean of (A, B) and ``multi_means`` every power
+    mean of the weighted matrices.  Each decomposition, power, mean and
+    spectrum is computed once, on the first read by any property, and the
+    matrices are validated once, so the properties that compare the same
+    spectra share them.
+    """
 
     spec: InstanceSpec
     a: np.ndarray
@@ -128,6 +125,22 @@ class InstanceData:
     multi: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
     x_sym: np.ndarray
+
+    @property
+    def seed(self) -> int:
+        return self.spec.seed
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
+
+    @functools.cached_property
+    def means(self) -> PairTable:
+        return PairTable(self.a, self.b)
+
+    @functools.cached_property
+    def multi_means(self) -> MultiTable:
+        return MultiTable(self.multi, self.weights)
 
 
 def materialize(spec: InstanceSpec) -> InstanceData:
@@ -260,9 +273,9 @@ def paper_pair() -> tuple[np.ndarray, np.ndarray]:
 
 def paper_counterexample() -> tuple[float, float]:
     """Second eigenvalues (geometric, log-Euclidean) of the built-in pair."""
-    a, b = paper_pair()
-    l2_geo = float(eigenvalues_desc(geometric_mean(a, b, 0.5))[1])
-    l2_logeuc = float(log_euclidean_spectrum(a, b, 0.5)[1])
+    means = PairTable(*paper_pair())
+    l2_geo = float(means.geometric_spectrum(0.5)[1])
+    l2_logeuc = float(means.log_euclidean_spectrum(0.5)[1])
     return l2_geo, l2_logeuc
 
 
@@ -272,9 +285,9 @@ def paper_counterexample() -> tuple[float, float]:
 
 def _p1(data: InstanceData, tr: MarginTracker) -> None:
     """lambda_j of the power mean is non-decreasing across the p grid."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        specs = [power_mean_spectrum(a, b, t, p) for p in spec.p_grid]
+        specs = [means.power_mean_spectrum(t, p) for p in spec.p_grid]
         for (p_lo, s_lo), (p_hi, s_hi) in zip(
             zip(spec.p_grid, specs), zip(spec.p_grid[1:], specs[1:])
         ):
@@ -284,40 +297,40 @@ def _p1(data: InstanceData, tr: MarginTracker) -> None:
 
 def _p2(data: InstanceData, tr: MarginTracker) -> None:
     """|||geometric||| <= |||log-Euclidean||| <= |||power mean||| for p > 0."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        s_geo = eigenvalues_desc(geometric_mean(a, b, t))
-        s_le = log_euclidean_spectrum(a, b, t)
+        s_geo = means.geometric_spectrum(t)
+        s_le = means.log_euclidean_spectrum(t)
         _kyfan_leq(tr, s_geo, s_le, t=t)
         for p in _positive_grid(spec):
-            _kyfan_leq(tr, s_le, power_mean_spectrum(a, b, t, p), t=t, p=p)
+            _kyfan_leq(tr, s_le, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p3(data: InstanceData, tr: MarginTracker) -> None:
     """Same chain refined through the sandwich mean."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        s_geo = eigenvalues_desc(geometric_mean(a, b, t))
-        s_le = log_euclidean_spectrum(a, b, t)
+        s_geo = means.geometric_spectrum(t)
+        s_le = means.log_euclidean_spectrum(t)
         _kyfan_leq(tr, s_geo, s_le, t=t)
         for p in _positive_grid(spec):
-            s_sw = sandwich_mean_spectrum(a, b, t, p)
+            s_sw = means.sandwich_mean_spectrum(t, p)
             _kyfan_leq(tr, s_le, s_sw, t=t, p=p)
-            _kyfan_leq(tr, s_sw, power_mean_spectrum(a, b, t, p), t=t, p=p)
+            _kyfan_leq(tr, s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p4(data: InstanceData, tr: MarginTracker) -> None:
     """Five-link chain at p = 1, ending at the arithmetic path."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        x = cross_term(a, b, t)
+        x = means.cross(t)
         chain = [
-            eigenvalues_desc(geometric_mean(a, b, t)),
-            log_euclidean_spectrum(a, b, t),
-            sandwich_mean_spectrum(a, b, t, 1.0),
+            means.geometric_spectrum(t),
+            means.log_euclidean_spectrum(t),
+            means.sandwich_mean_spectrum(t, 1.0),
             _abs_eig_spectrum(hermitian_part(x)),
             singular_values(x),
-            eigenvalues_desc(arithmetic_path(a, b, t)),
+            eigenvalues_desc(means.arithmetic(t)),
         ]
         for lhs, rhs in zip(chain, chain[1:]):
             _kyfan_leq(tr, lhs, rhs, t=t, p=1.0)
@@ -325,28 +338,26 @@ def _p4(data: InstanceData, tr: MarginTracker) -> None:
 
 def _p5(data: InstanceData, tr: MarginTracker) -> None:
     """Log-majorization chain and the sandwich/product spectral identity."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        s_geo = eigenvalues_desc(geometric_mean(a, b, t))
-        s_le = log_euclidean_spectrum(a, b, t)
+        s_geo = means.geometric_spectrum(t)
+        s_le = means.log_euclidean_spectrum(t)
         _weak_log_leq(tr, s_geo, s_le, t=t, det_equality=True)
         for p in _positive_grid(spec):
-            s_sw = sandwich_mean_spectrum(a, b, t, p)
+            s_sw = means.sandwich_mean_spectrum(t, p)
             _weak_log_leq(tr, s_le, s_sw, t=t, p=p, det_equality=True)
             # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
             # is exactly A^p or B^p; taking its root directly avoids the
             # power round trip, matching the means' endpoint handling.
             if t == 0.0:
-                s_dual = eigenvalues_desc(a)
+                s_dual = means.eig(0).lam
             elif t == 1.0:
-                s_dual = eigenvalues_desc(b)
+                s_dual = means.eig(1).lam
             else:
-                ah = pd_power(a, (1.0 - t) * p / 2.0)
-                dual = symmetrize(ah @ pd_power(b, t * p) @ ah)
-                s_dual = sym_eigen(dual).lam ** (1.0 / p)
+                s_dual = means.product_form(t, p).lam ** (1.0 / p)
             for j in range(spec.dim):
                 tr.eq(s_sw[j], s_dual[j], t=t, p=p, norm_id=f"lambda:{j + 1}")
-            _weak_log_leq(tr, s_sw, power_mean_spectrum(a, b, t, p), t=t, p=p)
+            _weak_log_leq(tr, s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p6(data: InstanceData, tr: MarginTracker) -> None:
@@ -362,22 +373,22 @@ def _p6(data: InstanceData, tr: MarginTracker) -> None:
 
 def _p7(data: InstanceData, tr: MarginTracker) -> None:
     """Midpoint endpoint: majorizations, determinant identity, trace bound."""
-    a, b = data.a, data.b
-    s_geo = eigenvalues_desc(geometric_mean(a, b, 0.5))
-    s_lee = sandwich_mean_spectrum(a, b, 0.5, 1.0)
+    means = data.means
+    s_geo = means.geometric_spectrum(0.5)
+    s_lee = means.sandwich_mean_spectrum(0.5, 1.0)
     _weak_log_leq(tr, s_geo, s_lee, t=0.5, det_equality=True)
     _weak_major_leq(tr, s_geo, s_lee, t=0.5)
     ld_geo = float(np.sum(np.log(s_geo)))
-    ld_ab = 0.5 * float(np.sum(np.log(eigenvalues_desc(a))) + np.sum(np.log(eigenvalues_desc(b))))
+    ld_ab = 0.5 * float(np.sum(np.log(means.eig(0).lam)) + np.sum(np.log(means.eig(1).lam)))
     tr.eq(ld_geo, ld_ab, t=0.5, norm_id="logdet")
-    root_product_trace = float(np.trace(pd_power(a, 0.5) @ pd_power(b, 0.5)))
+    root_product_trace = float(np.trace(means.power(0, 0.5) @ means.power(1, 0.5)))
     tr.leq(float(np.sum(s_geo)), root_product_trace, t=0.5, norm_id="trace")
 
 
 def _p8(data: InstanceData, tr: MarginTracker) -> None:
     """Compound of the midpoint mean equals the mean of the compounds."""
     a, b, spec = data.a, data.b, data.spec
-    g = geometric_mean(a, b, 0.5)
+    g = data.means.geometric(0.5)
     for k in range(1, spec.dim + 1):
         lhs = compound_matrix(g, k)
         rhs = geometric_mean(
@@ -392,17 +403,15 @@ def _p8(data: InstanceData, tr: MarginTracker) -> None:
         )
 
 
-def _unnormalized_power_spectrum(mats, p: float) -> np.ndarray:
-    total = sum(pd_power(m, p) for m in mats)
-    e = sym_eigen(symmetrize(total))
-    return np.sort(e.lam ** (1.0 / p))[::-1]
+def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
+    """Descending spectrum of (sum_i A_i^p)^{1/p}."""
+    return np.sort(multi.power_sum(p).lam ** (1.0 / p))[::-1]
 
 
 def _p9(data: InstanceData, tr: MarginTracker) -> None:
     """Multi-matrix monotonicity, unnormalized decrease on (0, 1], sum-power bound."""
-    spec = data.spec
-    mats, w = data.multi, data.weights
-    specs = [power_mean_multi_spectrum(mats, w, p) for p in spec.p_grid]
+    multi, spec = data.multi_means, data.spec
+    specs = [multi.power_mean_spectrum(p) for p in spec.p_grid]
     for (p_lo, s_lo), (p_hi, s_hi) in zip(
         zip(spec.p_grid, specs), zip(spec.p_grid[1:], specs[1:])
     ):
@@ -410,7 +419,7 @@ def _p9(data: InstanceData, tr: MarginTracker) -> None:
             tr.leq(s_lo[j], s_hi[j], p=p_hi, norm_id=f"lambda:{j + 1}")
 
     unit_ps = [p for p in spec.p_grid if 0.0 < p <= 1.0]
-    unit_specs = {p: _unnormalized_power_spectrum(mats, p) for p in unit_ps}
+    unit_specs = {p: _unnormalized_power_spectrum(multi, p) for p in unit_ps}
     for p_lo, p_hi in zip(unit_ps, unit_ps[1:]):
         _kyfan_leq(tr, unit_specs[p_hi], unit_specs[p_lo], p=p_hi)
 
@@ -419,33 +428,31 @@ def _p9(data: InstanceData, tr: MarginTracker) -> None:
     above = [p for p in spec.p_grid if p >= 1.0]
     info_margin = math.inf
     for p_lo, p_hi in zip(above, above[1:]):
-        lo = np.cumsum(_unnormalized_power_spectrum(mats, p_lo))
-        hi = np.cumsum(_unnormalized_power_spectrum(mats, p_hi))
+        lo = np.cumsum(_unnormalized_power_spectrum(multi, p_lo))
+        hi = np.cumsum(_unnormalized_power_spectrum(multi, p_hi))
         gaps = (lo - hi) / (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
         info_margin = min(info_margin, float(np.min(gaps)))
     if math.isfinite(info_margin):
         tr.info["unnormalized_decrease_above_one"] = info_margin
 
-    lam_sum = eigenvalues_desc(symmetrize(sum(mats)))
+    lam_sum = eigenvalues_desc(symmetrize(sum(data.multi)))
     for r in BK_EXPONENTS:
-        power_sum = symmetrize(sum(pd_power(m, r) for m in mats))
-        _kyfan_leq(tr, eigenvalues_desc(power_sum), lam_sum**r, p=r)
+        _kyfan_leq(tr, multi.power_sum(r).lam, lam_sum**r, p=r)
 
 
 def _p10(data: InstanceData, tr: MarginTracker) -> None:
     """Multi-matrix log mean norm-dominated by every positive power mean."""
-    spec = data.spec
-    mats, w = data.multi, data.weights
-    s_le = power_mean_multi_spectrum(mats, w, 0.0)
+    multi, spec = data.multi_means, data.spec
+    s_le = multi.power_mean_spectrum(0.0)
     for p in _positive_grid(spec):
-        _kyfan_leq(tr, s_le, power_mean_multi_spectrum(mats, w, p), p=p)
+        _kyfan_leq(tr, s_le, multi.power_mean_spectrum(p), p=p)
 
 
 def _p11(data: InstanceData, tr: MarginTracker) -> None:
     """Block positivity certificates; geometric mean vs the root product."""
-    a, b = data.a, data.b
-    g = geometric_mean(a, b, 0.5)
-    w = pd_power(a, 0.5) @ pd_power(b, 0.5)
+    a, b, means = data.a, data.b, data.means
+    g = means.geometric(0.5)
+    w = means.power(0, 0.5) @ means.power(1, 0.5)
     for label, block in (
         ("block-geo", np.block([[a, g], [g, b]])),
         ("block-root", np.block([[a, w], [w.T, b]])),
@@ -453,51 +460,50 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
         lam = sym_eigen(symmetrize(block)).lam
         scale = 1.0 + float(np.max(np.abs(lam)))
         tr.add(float(lam[-1]) / scale, norm_id=f"{label}:minlam", lhs=float(lam[-1]), rhs=0.0)
-    _kyfan_leq(tr, eigenvalues_desc(g), singular_values(w))
+    _kyfan_leq(tr, means.geometric_spectrum(0.5), singular_values(w))
 
 
 def _p12(data: InstanceData, tr: MarginTracker) -> None:
     """4 |||AB||| <= |||(A+B)^2||| and the square-root mean chain."""
-    a, b, spec = data.a, data.b, data.spec
+    a, b, means, spec = data.a, data.b, data.means, data.spec
     s_ab = singular_values(a @ b)
     s_sum_sq = eigenvalues_desc(symmetrize(a + b)) ** 2
     _kyfan_leq(tr, s_ab, s_sum_sq, lhs_factor=4.0)
 
-    ra = pd_power(a, 0.5)
-    rb = pd_power(b, 0.5)
+    ra = means.power(0, 0.5)
+    rb = means.power(1, 0.5)
     s_roots = singular_values(ra @ rb)
     s_avg_sq = eigenvalues_desc(symmetrize((ra + rb) * 0.5)) ** 2
     _kyfan_leq(tr, s_roots, s_avg_sq)
     for p in (pp for pp in spec.p_grid if pp >= 0.5):
-        _kyfan_leq(tr, s_avg_sq, power_mean_spectrum(a, b, 0.5, p), p=p)
+        _kyfan_leq(tr, s_avg_sq, means.power_mean_spectrum(0.5, p), p=p)
 
 
 def _p13(data: InstanceData, tr: MarginTracker) -> None:
     """Cross-term majorization and the associated power-product bounds."""
-    a, b, spec = data.a, data.b, data.spec
+    a, b, means, spec = data.a, data.b, data.means, data.spec
     for t in spec.t_values:
-        s_geo = eigenvalues_desc(geometric_mean(a, b, t))
-        ah = pd_power(a, (1.0 - t) / 2.0)
-        s_cross = sym_eigen(symmetrize(ah @ pd_power(b, t) @ ah)).lam
+        s_geo = means.geometric_spectrum(t)
+        s_cross = means.product_form(t, 1.0).lam
         _weak_log_leq(tr, s_geo, s_cross, t=t, det_equality=True)
 
-    rb = pd_power(b, 0.5)
+    rb = means.power(1, 0.5)
     lam_bab_half = eigenvalues_desc(symmetrize(rb @ a @ rb))
-    s_geo_mid = eigenvalues_desc(geometric_mean(a, b, 0.5))
+    s_geo_mid = means.geometric_spectrum(0.5)
     _kyfan_leq(tr, s_geo_mid, np.sqrt(lam_bab_half), t=0.5)
     _kyfan_leq(tr, s_geo_mid**2, lam_bab_half, t=0.5)
 
     lam_bab = eigenvalues_desc(symmetrize(b @ a @ b))
     for t in spec.t_values:
-        bt = pd_power(b, t)
-        inner = eigenvalues_desc(symmetrize(bt @ pd_power(a, t) @ bt))
+        bt = means.power(1, t)
+        inner = eigenvalues_desc(symmetrize(bt @ means.power(0, t) @ bt))
         _kyfan_leq(tr, inner, lam_bab**t, t=t)
 
 
 def _p14(data: InstanceData, tr: MarginTracker) -> None:
     """|||A^(1/2) X A^(1/2)||| <= |||(AX + XA)/2||| for symmetric X."""
     a, x = data.a, data.x_sym
-    ra = pd_power(a, 0.5)
+    ra = data.means.power(0, 0.5)
     lhs = _abs_eig_spectrum(symmetrize(ra @ x @ ra))
     rhs = _abs_eig_spectrum(symmetrize((a @ x + x @ a) * 0.5))
     _kyfan_leq(tr, lhs, rhs)
@@ -505,15 +511,15 @@ def _p14(data: InstanceData, tr: MarginTracker) -> None:
 
 def _p15(data: InstanceData, tr: MarginTracker) -> None:
     """Geodesic below the chord, and the exponential product norm bound."""
-    a, b, spec = data.a, data.b, data.spec
+    means, spec = data.means, data.spec
     for t in spec.t_values:
-        d = symmetrize(arithmetic_path(a, b, t) - geometric_mean(a, b, t))
+        d = symmetrize(means.arithmetic(t) - means.geometric(t))
         lam = sym_eigen(d).lam
         scale = 1.0 + float(np.max(np.abs(d)))
         tr.add(float(lam[-1]) / scale, t=t, norm_id="loewner:minlam", lhs=float(lam[-1]), rhs=0.0)
 
-    h = pd_log(a)
-    k = pd_log(b)
+    h = means.log(0)
+    k = means.log(1)
     s_expsum = np.exp(sym_eigen(symmetrize(h + k)).lam)
     ek2 = sym_exp(k * 0.5)
     s_prod = eigenvalues_desc(symmetrize(ek2 @ sym_exp(h) @ ek2))
@@ -571,10 +577,13 @@ def evaluate_property(
 
 
 def check_property(
-    property_id: str, instance: InstanceSpec, tolerance: float = DEFAULT_TOLERANCE
+    property_id: str,
+    instance: InstanceSpec | InstanceData,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> PropertyResult:
-    """Materialize the instance and run one property on it."""
-    return evaluate_property(property_id, materialize(instance), tolerance)
+    """Run one property on an instance, materializing it first if given its spec."""
+    data = instance if isinstance(instance, InstanceData) else materialize(instance)
+    return evaluate_property(property_id, data, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +610,13 @@ class CampaignConfig:
         unknown = [p for p in self.properties if p not in _CATALOGUE]
         if unknown:
             raise ValueError(f"unknown property ids: {unknown}")
+        repeated = sorted({p for p in self.properties if self.properties.count(p) > 1})
+        if repeated:
+            raise ValueError(f"property ids repeat: {repeated}")
+        if not self.dims:
+            raise ValueError("at least one dimension is required")
+        if min(self.dims) < 2:
+            raise ValueError(f"dimensions must be >= 2, got {list(self.dims)}")
 
     def to_dict(self) -> dict:
         return {
@@ -713,9 +729,9 @@ def run_campaign(
     start = time.perf_counter()
     results: list[PropertyResult] = []
     for i in range(config.count):
-        spec = build_instance(config, i)
+        data = materialize(build_instance(config, i))
         for pid in config.properties:
-            results.append(check_property(pid, spec, tolerance=config.tolerance))
+            results.append(check_property(pid, data, tolerance=config.tolerance))
 
     counts = {
         pid: {"pass": 0, "fail": 0, "marginal": 0, "skipped": 0}

@@ -241,3 +241,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["check", "--badflag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--props", "P1,P1"], "repeat"),
+        (["--dims", ","], "at least one dimension"),
+        (["--dims", "1:3"], "dimensions must be >= 2"),
+    ],
+)
+def test_check_rejects_bad_campaign_config(tmp_path, capsys, args, message):
+    out = tmp_path / "r.jsonl"
+    assert run_cli(["check", "--count", "1", "--out", str(out), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -183,6 +183,21 @@ def test_config_validation():
         CampaignConfig(count=-2)
 
 
+def test_config_rejects_repeated_property_ids():
+    with pytest.raises(ValueError, match="repeat.*P1"):
+        CampaignConfig(properties=("P1", "P2", "P1"))
+
+
+def test_config_rejects_empty_dims():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        CampaignConfig(dims=())
+
+
+def test_config_rejects_dimension_below_two():
+    with pytest.raises(ValueError, match="dimensions must be >= 2"):
+        CampaignConfig(dims=(1, 3))
+
+
 def test_result_json_is_finite_and_ordered():
     res = check_property("P1", InstanceSpec(seed=2, dim=2, cond_exponent=0.5))
     obj = result_to_json_obj(res)
