@@ -3,9 +3,7 @@
 from .densela import (
     EigenDecomposition,
     JacobiConvergenceError,
-    apply_spectral_fn,
     is_positive_definite,
-    multiply,
     pd_log,
     pd_power,
     random_pd,
@@ -14,13 +12,10 @@ from .densela import (
     sym_exp,
 )
 from .means import (
-    MeanParams,
     WeightVector,
     arithmetic_path,
     cross_term,
     geometric_mean,
-    geometric_mean_unitary_factor,
-    hermitian_part,
     log_euclidean,
     power_mean,
     power_mean_multi,
@@ -37,7 +32,7 @@ from .spectra import (
     weak_log_majorize,
     weak_majorize,
 )
-from .compound import compound_matrix, compound_spectrum_check
+from .compound import compound_matrix
 from .suite import (
     CampaignConfig,
     CampaignReport,

@@ -7,57 +7,28 @@ k-fold products of the eigenvalues of the original matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .densela import as_square_matrix, require_symmetric, sym_eigen
+from .densela import as_square_matrix
 
-__all__ = ["CompoundIndex", "compound_matrix", "compound_spectrum_check"]
-
-
-@dataclass(frozen=True)
-class CompoundIndex:
-    """Lexicographically ordered k-element index subsets of {0..n-1}."""
-
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, n: int, k: int) -> "CompoundIndex":
-        if not 1 <= k <= n:
-            raise ValueError(f"compound order must satisfy 1 <= k <= {n}, got {k}")
-        return cls(k=k, subsets=tuple(combinations(range(n), k)))
-
-    @property
-    def size(self) -> int:
-        return len(self.subsets)
+__all__ = ["compound_matrix"]
 
 
 def compound_matrix(x, k: int) -> np.ndarray:
     """k-th compound: entry (I, J) is the minor det(x[I, J]).
 
-    Minors are evaluated by LU with partial pivoting (batched); k = 1
-    returns a copy of the input.
+    I and J run over the k-element subsets of {0..n-1} in lexicographic
+    order.  Minors are evaluated by LU with partial pivoting (batched);
+    k = 1 returns a copy of the input.
     """
     a = as_square_matrix(x)
     n = a.shape[0]
-    index = CompoundIndex.build(n, k)
+    if not 1 <= k <= n:
+        raise ValueError(f"compound order must satisfy 1 <= k <= {n}, got {k}")
     if k == 1:
         return a.copy()
-    rows = np.array(index.subsets)
+    rows = np.array(list(combinations(range(n), k)))
     blocks = a[rows[:, None, :, None], rows[None, :, None, :]]
     return np.linalg.det(blocks)
-
-
-def compound_spectrum_check(s, k: int, tol: float = 1e-7) -> bool:
-    """Eigenvalues of the k-th compound match all k-fold eigenvalue products."""
-    a = require_symmetric(s)
-    e = sym_eigen(a)
-    index = CompoundIndex.build(e.n, k)
-    expected = np.sort([float(np.prod(e.lam[list(c)])) for c in index.subsets])[::-1]
-    cm = compound_matrix(a, k)
-    got = sym_eigen((cm + cm.T) * 0.5).lam
-    scale = 1.0 + np.maximum(np.abs(expected), np.abs(got))
-    return bool(np.all(np.abs(expected - got) <= tol * scale))

@@ -8,16 +8,15 @@ definiteness tests with margins, and seeded random positive definite
 generation.
 
 All operations are pure functions of their inputs.  Returned arrays are
-fresh (or marked read-only when shared through the decomposition cache)
-and inputs are never mutated.
+fresh and inputs are never mutated; the arrays of an
+:class:`EigenDecomposition` are read-only because the per-instance tables
+of :mod:`matmeans.means` share decompositions between their readers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +33,7 @@ __all__ = [
     "as_square_matrix",
     "require_symmetric",
     "symmetrize",
-    "multiply",
     "sym_eigen",
-    "apply_spectral_fn",
     "pd_power",
     "pd_log",
     "sym_exp",
@@ -104,15 +101,6 @@ def symmetrize(x) -> np.ndarray:
     return (a + a.T) * 0.5
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    am = as_square_matrix(a, "a")
-    bm = as_square_matrix(b, "b")
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return am @ bm
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Orthogonal eigenvector matrix plus descending eigenvalues.
@@ -158,32 +146,12 @@ def _eval_on_spectrum(fn: Callable[[float], float], lam: np.ndarray) -> np.ndarr
     return vals
 
 
-# Decomposition cache.  sym_eigen is referentially transparent, so memoizing
-# on the input bytes only saves recomputation; entries are immutable.
-_EIG_CACHE: "OrderedDict[tuple[int, bytes], EigenDecomposition]" = OrderedDict()
-_EIG_CACHE_LOCK = threading.Lock()
-_EIG_CACHE_SIZE = 4096
-
-
-def _cache_get(key):
-    with _EIG_CACHE_LOCK:
-        dec = _EIG_CACHE.get(key)
-        if dec is not None:
-            _EIG_CACHE.move_to_end(key)
-        return dec
-
-
-def _cache_put(key, dec) -> None:
-    with _EIG_CACHE_LOCK:
-        _EIG_CACHE[key] = dec
-        while len(_EIG_CACHE) > _EIG_CACHE_SIZE:
-            _EIG_CACHE.popitem(last=False)
-
-
 def clear_eigen_cache() -> None:
-    """Drop all memoized decompositions (mainly useful in tests)."""
-    with _EIG_CACHE_LOCK:
-        _EIG_CACHE.clear()
+    """Does nothing: ``sym_eigen`` keeps no decomposition between calls.
+
+    Kept only for callers of the former process-wide cache, such as
+    ``perfbench/test_tracer.py``.
+    """
 
 
 @functools.lru_cache(maxsize=None)
@@ -211,12 +179,7 @@ def sym_eigen(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
     original diagonal order) and eigenvector columns are permuted to match.
     """
     a_in = require_symmetric(s)
-    a_in = np.ascontiguousarray((a_in + a_in.T) * 0.5)
-    key = (a_in.shape[0], a_in.tobytes())
-    cached = _cache_get(key)
-    if cached is not None:
-        return cached
-
+    a_in = (a_in + a_in.T) * 0.5
     n = a_in.shape[0]
     fro = float(np.sqrt(np.sum(a_in * a_in)))
     threshold = JACOBI_OFF_REL * fro
@@ -282,14 +245,7 @@ def sym_eigen(s, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
     qm = np.array(q)[:, order]
     lam.setflags(write=False)
     qm.setflags(write=False)
-    dec = EigenDecomposition(q=qm, lam=lam)
-    _cache_put(key, dec)
-    return dec
-
-
-def apply_spectral_fn(s, fn: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its spectrum."""
-    return sym_eigen(s).apply(fn)
+    return EigenDecomposition(q=qm, lam=lam)
 
 
 def _pd_eigs_ok(lam: np.ndarray) -> bool:
@@ -359,7 +315,7 @@ def is_positive_definite(s, strict: bool = False) -> tuple[bool, float]:
     e = sym_eigen(s)
     small = float(e.lam[-1])
     if strict:
-        ok = small > e.n * PD_REL_FACTOR * float(e.lam[0])
+        ok = _pd_eigs_ok(e.lam)
     else:
         scale = 1.0 + float(np.max(np.abs(e.lam)))
         ok = small > -PSD_REL_TOL * scale

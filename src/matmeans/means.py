@@ -26,7 +26,6 @@ import numpy as np
 
 from .densela import (
     EigenDecomposition,
-    as_square_matrix,
     pd_log,
     pd_power,
     require_pd_eigen,
@@ -37,7 +36,6 @@ from .densela import (
 
 __all__ = [
     "WeightVector",
-    "MeanParams",
     "PairTable",
     "MultiTable",
     "geometric_mean",
@@ -49,10 +47,8 @@ __all__ = [
     "sandwich_mean",
     "sandwich_mean_spectrum",
     "cross_term",
-    "hermitian_part",
     "power_mean_multi",
     "power_mean_multi_spectrum",
-    "geometric_mean_unitary_factor",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -87,19 +83,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return len(self.alphas)
-
-
-@dataclass(frozen=True)
-class MeanParams:
-    """Interpolation weight t in [0, 1] and power-mean exponent p."""
-
-    t: float
-    p: float
-
-    def __post_init__(self):
-        _check_t(self.t)
-        if not math.isfinite(self.p):
-            raise ValueError(f"p must be finite, got {self.p!r}")
 
 
 def _check_t(t: float) -> float:
@@ -464,11 +447,6 @@ def cross_term(a, b, t: float) -> np.ndarray:
     return PairTable(a, b).cross(t)
 
 
-def hermitian_part(x) -> np.ndarray:
-    """(X + X.T) / 2."""
-    return symmetrize(as_square_matrix(x))
-
-
 def power_mean_multi(mats: Sequence, weights, p: float) -> np.ndarray:
     """(sum_i alpha_i A_i^p)^{1/p}; exp(sum_i alpha_i log A_i) at p = 0."""
     return MultiTable(mats, weights).power_mean(p)
@@ -477,10 +455,3 @@ def power_mean_multi(mats: Sequence, weights, p: float) -> np.ndarray:
 def power_mean_multi_spectrum(mats: Sequence, weights, p: float) -> np.ndarray:
     """Descending eigenvalues of power_mean_multi(mats, weights, p)."""
     return MultiTable(mats, weights).power_mean_spectrum(p)
-
-
-def geometric_mean_unitary_factor(a, b) -> np.ndarray:
-    """Orthogonal U with A^{1/2} U B^{1/2} equal to the midpoint geometric mean."""
-    table = PairTable(a, b)
-    table.checked()
-    return table.power(0, -0.5) @ table.geometric(0.5) @ table.power(1, -0.5)

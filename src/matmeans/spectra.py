@@ -27,8 +27,9 @@ __all__ = [
     "eigenvalues_desc",
     "product_eigenvalues",
     "ky_fan_norm",
-    "ky_fan_profile",
     "schatten_norm",
+    "log_prefix",
+    "prefix_margins",
     "weak_majorize",
     "majorize",
     "weak_log_majorize",
@@ -87,12 +88,6 @@ def ky_fan_norm(x, k: int) -> float:
     return float(np.sum(sv[:k]))
 
 
-def ky_fan_profile(spectrum) -> np.ndarray:
-    """All Ky Fan norms at once: prefix sums of a descending singular spectrum."""
-    v = check_spectrum(spectrum, nonnegative=True)
-    return np.cumsum(v)
-
-
 def schatten_norm(x, p: float) -> float:
     """l_p norm of the singular value vector, p >= 1 or infinity."""
     if not (p == math.inf or p >= 1.0):
@@ -103,62 +98,71 @@ def schatten_norm(x, p: float) -> float:
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
-def _pair_scale(x: np.ndarray, y: np.ndarray) -> float:
-    return 1.0 + max(abs(float(np.sum(x))), abs(float(np.sum(y))))
+def log_prefix(v) -> np.ndarray:
+    """Prefix sums of log(max(v, LOG_CLAMP)): the logarithms of k-fold products."""
+    return np.cumsum(np.log(np.maximum(v, LOG_CLAMP)))
+
+
+def _scale(lx, ly) -> float:
+    return 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
+
+
+def prefix_margins(lx, ly) -> np.ndarray:
+    """Per-k margins of the prefix domination lx <= ly.
+
+    The margins are (ly - lx) / (1 + max(|lx[-1]|, |ly[-1]|)), so the scale
+    is set by the totals.  The prefixes are not validated: a non-finite
+    prefix gives a non-finite margin.
+    """
+    return (ly - lx) / _scale(lx, ly)
+
+
+def _prefixes(x, y, log: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of two validated spectra, of their logarithms with ``log``."""
+    xv = check_spectrum(x)
+    yv = check_spectrum(y)
+    if xv.shape != yv.shape:
+        raise ValueError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
+    if not log:
+        return np.cumsum(xv), np.cumsum(yv)
+    if float(xv[-1]) <= 0.0 or float(yv[-1]) <= 0.0:
+        raise ValueError("log majorization requires strictly positive spectra")
+    return log_prefix(xv), log_prefix(yv)
+
+
+def _dominates(lx, ly, tol: float) -> tuple[bool, np.ndarray]:
+    margins = prefix_margins(lx, ly)
+    return bool(np.min(margins) >= -tol), margins
+
+
+def _totals_equal(lx, ly, tol: float) -> bool:
+    return abs(float(lx[-1] - ly[-1])) <= tol * _scale(lx, ly)
 
 
 def weak_majorize(x, y, tol: float = MAJORIZATION_TOL) -> tuple[bool, np.ndarray]:
     """Prefix-sum domination of descending spectra, with per-k margins.
 
-    The margins are (prefix(y) - prefix(x)) / scale with scale
-    1 + max(|sum x|, |sum y|); the verdict is min(margins) >= -tol.
+    The margins are :func:`prefix_margins` of the prefix sums; the verdict
+    is min(margins) >= -tol.
     """
-    xv = check_spectrum(x)
-    yv = check_spectrum(y)
-    if xv.shape != yv.shape:
-        raise ValueError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    margins = (np.cumsum(yv) - np.cumsum(xv)) / _pair_scale(xv, yv)
-    return bool(np.min(margins) >= -tol), margins
+    return _dominates(*_prefixes(x, y, log=False), tol)
 
 
 def majorize(x, y, tol: float = MAJORIZATION_TOL) -> bool:
     """Weak majorization plus total-sum equality."""
-    ok, margins = weak_majorize(x, y, tol)
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    total = abs(float(np.sum(xv) - np.sum(yv)))
-    return ok and total <= tol * _pair_scale(xv, yv)
-
-
-def _log_prefix(v: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.log(np.maximum(v, LOG_CLAMP)))
+    lx, ly = _prefixes(x, y, log=False)
+    return _dominates(lx, ly, tol)[0] and _totals_equal(lx, ly, tol)
 
 
 def weak_log_majorize(x, y, tol: float = MAJORIZATION_TOL) -> tuple[bool, np.ndarray]:
     """Prefix-product domination, compared through sums of logarithms."""
-    xv = check_spectrum(x)
-    yv = check_spectrum(y)
-    if xv.shape != yv.shape:
-        raise ValueError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    if float(xv[-1]) <= 0.0 or float(yv[-1]) <= 0.0:
-        raise ValueError("log majorization requires strictly positive spectra")
-    lx = _log_prefix(xv)
-    ly = _log_prefix(yv)
-    scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
-    margins = (ly - lx) / scale
-    return bool(np.min(margins) >= -tol), margins
+    return _dominates(*_prefixes(x, y, log=True), tol)
 
 
 def log_majorize(x, y, tol: float = MAJORIZATION_TOL) -> bool:
     """Weak log majorization plus determinant (total log-sum) equality."""
-    ok, margins = weak_log_majorize(x, y, tol)
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    lx = _log_prefix(xv)
-    ly = _log_prefix(yv)
-    scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
-    # total log-sum equality is the determinant condition
-    return ok and abs(float(lx[-1] - ly[-1])) <= tol * scale
+    lx, ly = _prefixes(x, y, log=True)
+    return _dominates(lx, ly, tol)[0] and _totals_equal(lx, ly, tol)
 
 
 def loewner_leq(a, b, tol: float = MAJORIZATION_TOL) -> tuple[bool, float]:

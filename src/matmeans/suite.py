@@ -29,8 +29,8 @@ from .densela import (
     sym_exp,
     symmetrize,
 )
-from .means import MultiTable, PairTable, geometric_mean, hermitian_part
-from .spectra import LOG_CLAMP, eigenvalues_desc
+from .means import MultiTable, PairTable, geometric_mean
+from .spectra import eigenvalues_desc, log_prefix, prefix_margins
 
 __all__ = [
     "DEFAULT_T_VALUES",
@@ -84,6 +84,28 @@ PROPERTY_IDS = tuple(PROPERTY_DESCRIPTIONS)
 _PROPERTY_TOL = {"P6": 0.0, "P8": 1e-7}
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
+def _check_grids(cond_exponent: float, t_values, p_grid) -> None:
+    """Checks shared by InstanceSpec and CampaignConfig.
+
+    A campaign runs them up front, so a bad value stops it before any
+    instance is evaluated, even with count 0.
+    """
+    _require_nonnegative("cond_exponent", cond_exponent)
+    if any(not 0.0 <= t <= 1.0 for t in t_values):
+        raise ValueError(f"t values must lie in [0, 1]: {t_values}")
+    if not all(math.isfinite(p) for p in p_grid):
+        raise ValueError(f"p grid must be finite: {p_grid}")
+    if any(b <= a for a, b in zip(p_grid, p_grid[1:])):
+        raise ValueError("p grid must be strictly ascending")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Seeded description of one random test instance."""
@@ -100,12 +122,7 @@ class InstanceSpec:
             raise ValueError(f"instance dimension must be >= 2, got {self.dim}")
         if self.m < 1:
             raise ValueError(f"matrix count must be >= 1, got {self.m}")
-        if self.cond_exponent < 0:
-            raise ValueError("cond_exponent must be >= 0")
-        if any(not 0.0 <= t <= 1.0 for t in self.t_values):
-            raise ValueError(f"t values must lie in [0, 1]: {self.t_values}")
-        if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
-            raise ValueError("p grid must be strictly ascending")
+        _check_grids(self.cond_exponent, self.t_values, self.p_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,37 +239,24 @@ def _kyfan_leq(tr, lhs_spec, rhs_spec, *, t=None, p=None, lhs_factor=1.0):
         tr.leq(lp[k], rp[k], t=t, p=p, norm_id=f"KyFan:{k + 1}")
 
 
-def _log_prefixes(spec: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.log(np.maximum(spec, LOG_CLAMP)))
+def _prefix_leq(tr, lhs_spec, rhs_spec, *, log=False, det_equality=False, t=None, p=None):
+    """Prefix domination, one sub-inequality per k, with the margins of ``prefix_margins``.
 
-
-def _weak_log_leq(tr, lhs_spec, rhs_spec, *, t=None, p=None, det_equality=False):
-    """Prefix log-sum domination; with det_equality also total equality."""
-    lx = _log_prefixes(np.asarray(lhs_spec, dtype=float))
-    ly = _log_prefixes(np.asarray(rhs_spec, dtype=float))
-    scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
+    The prefixes are sums, or with ``log`` sums of logarithms; with
+    ``det_equality`` the log totals must also agree.
+    """
+    if log:
+        lx, ly, label = log_prefix(lhs_spec), log_prefix(rhs_spec), "logsum"
+    else:
+        lx, ly, label = np.cumsum(lhs_spec), np.cumsum(rhs_spec), "sum"
+    margins = prefix_margins(lx, ly)
     for k in range(lx.shape[0]):
         tr.add(
-            (float(ly[k]) - float(lx[k])) / scale,
-            t=t, p=p, norm_id=f"logsum:{k + 1}", lhs=float(lx[k]), rhs=float(ly[k]),
+            margins[k],
+            t=t, p=p, norm_id=f"{label}:{k + 1}", lhs=float(lx[k]), rhs=float(ly[k]),
         )
     if det_equality:
-        tr.add(
-            -abs(float(lx[-1]) - float(ly[-1])) / scale,
-            t=t, p=p, norm_id="logdet", lhs=float(lx[-1]), rhs=float(ly[-1]),
-        )
-
-
-def _weak_major_leq(tr, lhs_spec, rhs_spec, *, t=None, p=None):
-    """Prefix-sum domination with the total-sum scale."""
-    lx = np.cumsum(np.asarray(lhs_spec, dtype=float))
-    ly = np.cumsum(np.asarray(rhs_spec, dtype=float))
-    scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
-    for k in range(lx.shape[0]):
-        tr.add(
-            (float(ly[k]) - float(lx[k])) / scale,
-            t=t, p=p, norm_id=f"sum:{k + 1}", lhs=float(lx[k]), rhs=float(ly[k]),
-        )
+        tr.eq(lx[-1], ly[-1], t=t, p=p, norm_id="logdet")
 
 
 def _abs_eig_spectrum(s) -> np.ndarray:
@@ -328,7 +332,7 @@ def _p4(data: InstanceData, tr: MarginTracker) -> None:
             means.geometric_spectrum(t),
             means.log_euclidean_spectrum(t),
             means.sandwich_mean_spectrum(t, 1.0),
-            _abs_eig_spectrum(hermitian_part(x)),
+            _abs_eig_spectrum(symmetrize(x)),
             singular_values(x),
             eigenvalues_desc(means.arithmetic(t)),
         ]
@@ -342,10 +346,10 @@ def _p5(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_le = means.log_euclidean_spectrum(t)
-        _weak_log_leq(tr, s_geo, s_le, t=t, det_equality=True)
+        _prefix_leq(tr, s_geo, s_le, log=True, det_equality=True, t=t)
         for p in _positive_grid(spec):
             s_sw = means.sandwich_mean_spectrum(t, p)
-            _weak_log_leq(tr, s_le, s_sw, t=t, p=p, det_equality=True)
+            _prefix_leq(tr, s_le, s_sw, log=True, det_equality=True, t=t, p=p)
             # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
             # is exactly A^p or B^p; taking its root directly avoids the
             # power round trip, matching the means' endpoint handling.
@@ -357,7 +361,7 @@ def _p5(data: InstanceData, tr: MarginTracker) -> None:
                 s_dual = means.product_form(t, p).lam ** (1.0 / p)
             for j in range(spec.dim):
                 tr.eq(s_sw[j], s_dual[j], t=t, p=p, norm_id=f"lambda:{j + 1}")
-            _weak_log_leq(tr, s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
+            _prefix_leq(tr, s_sw, means.power_mean_spectrum(t, p), log=True, t=t, p=p)
 
 
 def _p6(data: InstanceData, tr: MarginTracker) -> None:
@@ -376,8 +380,8 @@ def _p7(data: InstanceData, tr: MarginTracker) -> None:
     means = data.means
     s_geo = means.geometric_spectrum(0.5)
     s_lee = means.sandwich_mean_spectrum(0.5, 1.0)
-    _weak_log_leq(tr, s_geo, s_lee, t=0.5, det_equality=True)
-    _weak_major_leq(tr, s_geo, s_lee, t=0.5)
+    _prefix_leq(tr, s_geo, s_lee, log=True, det_equality=True, t=0.5)
+    _prefix_leq(tr, s_geo, s_lee, t=0.5)
     ld_geo = float(np.sum(np.log(s_geo)))
     ld_ab = 0.5 * float(np.sum(np.log(means.eig(0).lam)) + np.sum(np.log(means.eig(1).lam)))
     tr.eq(ld_geo, ld_ab, t=0.5, norm_id="logdet")
@@ -485,7 +489,7 @@ def _p13(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_cross = means.product_form(t, 1.0).lam
-        _weak_log_leq(tr, s_geo, s_cross, t=t, det_equality=True)
+        _prefix_leq(tr, s_geo, s_cross, log=True, det_equality=True, t=t)
 
     rb = means.power(1, 0.5)
     lam_bab_half = eigenvalues_desc(symmetrize(rb @ a @ rb))
@@ -617,6 +621,8 @@ class CampaignConfig:
             raise ValueError("at least one dimension is required")
         if min(self.dims) < 2:
             raise ValueError(f"dimensions must be >= 2, got {list(self.dims)}")
+        _check_grids(self.cond_exponent, self.t_values, self.p_grid)
+        _require_nonnegative("tolerance", self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -752,10 +758,14 @@ def run_campaign(
         failures=failures,
         duration_seconds=time.perf_counter() - start,
     )
+    # A report is built before its file is opened, so one that cannot be
+    # serialized leaves no empty file behind.
     if jsonl_path is not None:
+        text = "\n".join(report_jsonl_lines(report)) + "\n"
         with open(jsonl_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(report_jsonl_lines(report)) + "\n")
+            fh.write(text)
     if csv_path is not None:
+        text = "\n".join(report_csv_lines(report)) + "\n"
         with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(report_csv_lines(report)) + "\n")
+            fh.write(text)
     return report

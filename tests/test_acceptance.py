@@ -24,7 +24,6 @@ from matmeans.means import (
     arithmetic_path,
     cross_term,
     geometric_mean,
-    hermitian_part,
     log_euclidean,
     power_mean,
     power_mean_multi,
@@ -161,7 +160,7 @@ def test_c08_commuting_scalar_oracle():
             track(geometric_mean(a, b, t), geo_want)
             track(log_euclidean(a, b, t), geo_want)
             track(cross_term(a, b, t), geo_want)
-            track(hermitian_part(cross_term(a, b, t)), geo_want)
+            track(symmetrize(cross_term(a, b, t)), geo_want)
             track(arithmetic_path(a, b, t), np.diag((1.0 - t) * da + t * db))
             for p in P_GRID:
                 if p == 0.0:

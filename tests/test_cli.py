@@ -249,6 +249,12 @@ def test_usage_error_exit_code():
         (["--props", "P1,P1"], "repeat"),
         (["--dims", ","], "at least one dimension"),
         (["--dims", "1:3"], "dimensions must be >= 2"),
+        (["--p-grid", "nan,1"], "p grid must be finite"),
+        (["--p-grid", "1,inf"], "p grid must be finite"),
+        (["--tol", "nan"], "tolerance must be finite"),
+        (["--cond", "inf"], "cond_exponent must be finite"),
+        (["--cond", "nan"], "cond_exponent must be finite"),
+        (["--count", "0", "--t", "2"], "t values must lie in [0, 1]"),
     ],
 )
 def test_check_rejects_bad_campaign_config(tmp_path, capsys, args, message):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,10 +10,8 @@ from hypothesis import strategies as st
 from matmeans.densela import (
     EigenDecomposition,
     JacobiConvergenceError,
-    apply_spectral_fn,
     format_matrix,
     is_positive_definite,
-    multiply,
     parse_matrix,
     pd_log,
     pd_power,
@@ -43,34 +43,6 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
-
-
-# --- multiply ---------------------------------------------------------------
-
-
-def test_multiply_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(multiply(np.eye(2), a), a)
-
-
-def test_multiply_diagonal():
-    got = multiply(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-    assert np.array_equal(got, np.diag([10.0, 21.0]))
-
-
-def test_multiply_nilpotent():
-    n = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(multiply(n, n), np.zeros((2, 2)))
-
-
-def test_multiply_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        multiply(np.eye(2), np.eye(3))
-
-
-def test_multiply_rejects_nonfinite():
-    with pytest.raises(ValueError, match="non-finite"):
-        multiply(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
 # --- sym_eigen --------------------------------------------------------------
@@ -115,6 +87,15 @@ def test_sym_eigen_stable_tie_order():
     assert np.array_equal(np.abs(e.q), np.eye(3))
 
 
+def test_sym_eigen_retains_nothing():
+    # sym_eigen is a pure function: no cache keeps a decomposition alive.
+    e = sym_eigen(random_symmetric(4, 3))
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_reconstruction_and_orthogonality(seed):
     n = 2 + seed % 7
@@ -142,30 +123,28 @@ def test_sym_eigen_agrees_with_lapack():
         assert lam == pytest.approx(ref, abs=1e-12 * (1.0 + np.max(np.abs(ref))))
 
 
-# --- apply_spectral_fn ------------------------------------------------------
+# --- EigenDecomposition.apply ------------------------------------------------
 
 
 def test_apply_identity_function():
     s = random_symmetric(4, 7)
-    assert np.max(np.abs(apply_spectral_fn(s, lambda x: x) - s)) <= 1e-9
+    assert np.max(np.abs(sym_eigen(s).apply(lambda x: x) - s)) <= 1e-9
 
 
 def test_apply_square_diagonal():
-    got = apply_spectral_fn(np.diag([2.0, 3.0]), lambda x: x * x)
+    got = sym_eigen(np.diag([2.0, 3.0])).apply(lambda x: x * x)
     assert got == pytest.approx(np.diag([4.0, 9.0]), abs=1e-12)
 
 
 def test_apply_square_matches_multiply():
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    assert apply_spectral_fn(m, lambda x: x * x) == pytest.approx(
-        multiply(m, m), abs=1e-12
-    )
-    assert multiply(m, m) == pytest.approx(np.array([[5.0, 4.0], [4.0, 5.0]]))
+    assert sym_eigen(m).apply(lambda x: x * x) == pytest.approx(m @ m, abs=1e-12)
+    assert m @ m == pytest.approx(np.array([[5.0, 4.0], [4.0, 5.0]]))
 
 
 def test_apply_undefined_at_eigenvalue():
     with pytest.raises(ValueError, match="undefined|non-finite"):
-        apply_spectral_fn(np.diag([1.0, -1.0]), math.log)
+        sym_eigen(np.diag([1.0, -1.0])).apply(math.log)
 
 
 # --- pd_power / pd_log / sym_exp --------------------------------------------
@@ -199,7 +178,7 @@ def test_pd_power_rejects_indefinite():
 @pytest.mark.parametrize("q", [-1.0, -0.5, 0.5, 1.0, 2.0])
 def test_pd_power_addition_law(p, q):
     a = random_pd(5, 1.0, 123)
-    lhs = multiply(pd_power(a, p), pd_power(a, q))
+    lhs = pd_power(a, p) @ pd_power(a, q)
     rhs = pd_power(a, p + q)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * (1.0 + np.max(np.abs(rhs)))
 

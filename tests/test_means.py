@@ -5,13 +5,10 @@ import pytest
 
 from matmeans.densela import pd_power, random_pd, sym_eigen, symmetrize
 from matmeans.means import (
-    MeanParams,
     WeightVector,
     arithmetic_path,
     cross_term,
     geometric_mean,
-    geometric_mean_unitary_factor,
-    hermitian_part,
     log_euclidean,
     log_euclidean_spectrum,
     power_mean,
@@ -240,12 +237,12 @@ def test_cross_term_commuting_diagonal():
 
 def test_hermitian_part():
     s = random_pd(3, 1.0, 2)
-    assert np.array_equal(hermitian_part(s), s)
-    assert hermitian_part([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(
+    assert np.array_equal(symmetrize(s), s)
+    assert symmetrize([[0.0, 2.0], [0.0, 0.0]]) == pytest.approx(
         np.array([[0.0, 1.0], [1.0, 0.0]])
     )
     k = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(hermitian_part(k), np.zeros((2, 2)))
+    assert np.array_equal(symmetrize(k), np.zeros((2, 2)))
 
 
 # --- multi-matrix power mean --------------------------------------------------------
@@ -295,22 +292,25 @@ def test_multi_validation_errors():
 
 
 # --- unitary factor -------------------------------------------------------------------
+# The midpoint geometric mean is A^{1/2} U B^{1/2} with U orthogonal.
+
+
+def unitary_factor(a, b):
+    return pd_power(a, -0.5) @ geometric_mean(a, b, 0.5) @ pd_power(b, -0.5)
 
 
 def test_unitary_factor_identity():
-    assert geometric_mean_unitary_factor(np.eye(3), np.eye(3)) == pytest.approx(
-        np.eye(3), abs=1e-10
-    )
+    assert unitary_factor(np.eye(3), np.eye(3)) == pytest.approx(np.eye(3), abs=1e-10)
 
 
 def test_unitary_factor_commuting_is_identity():
     a, b = np.diag([4.0, 9.0]), np.diag([2.0, 5.0])
-    assert geometric_mean_unitary_factor(a, b) == pytest.approx(np.eye(2), abs=1e-10)
+    assert unitary_factor(a, b) == pytest.approx(np.eye(2), abs=1e-10)
 
 
 def test_unitary_factor_contract_on_reference_pair():
     a, b = paper_pair()
-    u = geometric_mean_unitary_factor(a, b)
+    u = unitary_factor(a, b)
     assert np.max(np.abs(u.T @ u - np.eye(2))) <= 1e-8
     recon = pd_power(a, 0.5) @ u @ pd_power(b, 0.5)
     g = geometric_mean(a, b, 0.5)
@@ -329,11 +329,3 @@ def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector((-0.1, 1.1))
     assert len(WeightVector.coerce([0.5, 0.5])) == 2
-
-
-def test_mean_params_validation():
-    MeanParams(t=0.5, p=2.0)
-    with pytest.raises(ValueError):
-        MeanParams(t=-0.1, p=1.0)
-    with pytest.raises(ValueError):
-        MeanParams(t=0.5, p=math.inf)

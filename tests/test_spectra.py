@@ -10,10 +10,11 @@ from matmeans.spectra import (
     check_spectrum,
     eigenvalues_desc,
     ky_fan_norm,
-    ky_fan_profile,
     loewner_leq,
     log_majorize,
+    log_prefix,
     majorize,
+    prefix_margins,
     product_eigenvalues,
     schatten_norm,
     weak_log_majorize,
@@ -67,12 +68,6 @@ def test_ky_fan_rejects_bad_k():
         ky_fan_norm(np.eye(2), 3)
 
 
-def test_ky_fan_profile_is_prefix_sums():
-    assert np.array_equal(ky_fan_profile([3.0, 1.0, 0.5]), [3.0, 4.0, 4.5])
-    with pytest.raises(ValueError, match="descending"):
-        ky_fan_profile([1.0, 2.0])
-
-
 def test_schatten_norms():
     d = np.diag([3.0, 4.0])
     assert schatten_norm(d, 2.0) == pytest.approx(5.0)
@@ -93,6 +88,26 @@ def test_weak_majorize_reflexive_zero_margins():
     x = np.array([3.0, 2.0, 0.5])
     ok, margins = weak_majorize(x, x)
     assert ok and np.array_equal(margins, np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 13])
+def test_prefix_margins_are_scaled_by_the_cumsum_totals(n):
+    # Reference: the scalar loop the property suite evaluated before the
+    # margins moved here.  From n = 8 on, np.sum and the last cumsum entry
+    # can round differently, so the scale must come from the prefixes.
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
+        y = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
+        lx, ly = np.cumsum(x), np.cumsum(y)
+        scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
+        want = [(float(ly[k]) - float(lx[k])) / scale for k in range(n)]
+        assert prefix_margins(lx, ly).tolist() == want
+        assert weak_majorize(x, y)[1].tolist() == want
+        lx, ly = log_prefix(x), log_prefix(y)
+        scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
+        want = [(float(ly[k]) - float(lx[k])) / scale for k in range(n)]
+        assert weak_log_majorize(x, y)[1].tolist() == want
 
 
 def test_majorize_needs_sum_equality():
