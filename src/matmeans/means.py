@@ -4,8 +4,9 @@ Every mean is built through the functional calculus of
 :mod:`matmeans.densela`; results are explicitly symmetrized.  Each mean
 that is a spectral transform of one inner aggregate also has a
 ``*_spectrum`` companion returning its descending eigenvalues straight
-from the inner decomposition, which the property suite uses to avoid a
-second decomposition of the assembled matrix.
+from the eigenvalues of the aggregate, which the property suite uses to
+avoid a second decomposition of the assembled matrix.  Spectra are solved
+without eigenvectors; only the matrix means accumulate them.
 
 The means are computed by two tables, :class:`PairTable` for a pair
 (A, B) and :class:`MultiTable` for weighted matrices A_1..A_m.  A table
@@ -149,13 +150,21 @@ class _Factored:
         return pd_power(self.eig(i), p)
 
     @_entry
+    def spectrum(self, i: int) -> EigenDecomposition:
+        """The eigenvalues of matrix i: its decomposition if the table has one,
+        otherwise a spectrum-only solve."""
+        if ("eig", i) in self._memo:
+            return self.eig(i)
+        return sym_eigen(self._mats[i], vectors=False)
+
+    @_entry
     def log(self, i: int) -> np.ndarray:
         return pd_log(self.eig(i))
 
-    def _require_pd(self, i: int, name: str) -> np.ndarray:
-        """``require_pd`` of matrix i, reusing its decomposition."""
+    def _require_pd(self, i: int, name: str, decompose) -> np.ndarray:
+        """``require_pd`` of matrix i, on ``decompose(i)``: ``eig`` or ``spectrum``."""
         m = require_symmetric(self._mats[i], name)
-        require_pd_eigen(self.eig(i), name)
+        require_pd_eigen(decompose(i), name)
         return m
 
 
@@ -173,9 +182,13 @@ class PairTable(_Factored):
 
     @_entry
     def checked(self) -> tuple[np.ndarray, np.ndarray]:
-        """A and B validated as by ``require_pd``, with equal shapes."""
-        am = self._require_pd(0, "a")
-        bm = self._require_pd(1, "b")
+        """A and B validated as by ``require_pd``, with equal shapes.
+
+        Every mean but the arithmetic path decomposes A with eigenvectors,
+        so A is validated on that decomposition; B only needs its spectrum.
+        """
+        am = self._require_pd(0, "a", self.eig)
+        bm = self._require_pd(1, "b", self.spectrum)
         if am.shape != bm.shape:
             raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
         return am, bm
@@ -197,7 +210,7 @@ class PairTable(_Factored):
         return self.checked()[end].copy()
 
     def _end_spectrum(self, end: int) -> np.ndarray:
-        return np.array(self.eig(end).lam)
+        return np.array(self.spectrum(end).lam)
 
     @_entry
     def _congruence(self) -> tuple[np.ndarray, EigenDecomposition]:
@@ -215,31 +228,29 @@ class PairTable(_Factored):
 
     @_entry
     def geometric_spectrum(self, t: float) -> np.ndarray:
-        return np.array(sym_eigen(self.geometric(t)).lam)
+        return np.array(sym_eigen(self.geometric(t), vectors=False).lam)
 
     @_entry
-    def _log_inner(self, t: float) -> EigenDecomposition:
-        h = (1.0 - t) * self.log(0) + t * self.log(1)
-        return sym_eigen(symmetrize(h))
+    def _log_aggregate(self, t: float) -> np.ndarray:
+        return symmetrize((1.0 - t) * self.log(0) + t * self.log(1))
 
     @_entry
     def log_euclidean(self, t: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
             return self._end_matrix(end)
-        return self._log_inner(t).apply(math.exp)
+        return sym_eigen(self._log_aggregate(t)).apply(math.exp)
 
     @_entry
     def log_euclidean_spectrum(self, t: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
             return self._end_spectrum(end)
-        return np.exp(self._log_inner(t).lam)
+        return np.exp(sym_eigen(self._log_aggregate(t), vectors=False).lam)
 
     @_entry
-    def _power_inner(self, t: float, p: float) -> EigenDecomposition:
-        m = (1.0 - t) * self.power(0, p) + t * self.power(1, p)
-        return sym_eigen(symmetrize(m))
+    def _power_aggregate(self, t: float, p: float) -> np.ndarray:
+        return symmetrize((1.0 - t) * self.power(0, p) + t * self.power(1, p))
 
     @_entry
     def power_mean(self, t: float, p: float) -> np.ndarray:
@@ -248,7 +259,7 @@ class PairTable(_Factored):
             return self._end_matrix(end)
         if p == 0.0:
             return self.log_euclidean(t)
-        e = self._power_inner(t, p)
+        e = sym_eigen(self._power_aggregate(t, p))
         _require_positive_spectrum(e, "power mean aggregate")
         return e.apply(lambda x: x ** (1.0 / p))
 
@@ -259,7 +270,7 @@ class PairTable(_Factored):
             return self._end_spectrum(end)
         if p == 0.0:
             return self.log_euclidean_spectrum(t)
-        e = self._power_inner(t, p)
+        e = sym_eigen(self._power_aggregate(t, p), vectors=False)
         _require_positive_spectrum(e, "power mean aggregate")
         return np.sort(e.lam ** (1.0 / p))[::-1]
 
@@ -269,10 +280,9 @@ class PairTable(_Factored):
         return symmetrize((1.0 - t) * am + t * bm)
 
     @_entry
-    def _sandwich_inner(self, t: float, p: float) -> EigenDecomposition:
+    def _sandwich_aggregate(self, t: float, p: float) -> np.ndarray:
         bt = self.power(1, t * p / 2.0)
-        m = bt @ self.power(0, (1.0 - t) * p) @ bt
-        return sym_eigen(symmetrize(m))
+        return symmetrize(bt @ self.power(0, (1.0 - t) * p) @ bt)
 
     def _sandwich_range_log10(self, t: float, p: float) -> float:
         la = self.eig(0).lam
@@ -288,7 +298,7 @@ class PairTable(_Factored):
         h = self.power(1, t * p / 2.0) @ self.power(0, (1.0 - t) * p / 2.0)
         n = h.shape[0]
         z = np.zeros((n, n))
-        sv = sym_eigen(np.block([[z, h], [h.T, z]])).lam[:n]
+        sv = sym_eigen(np.block([[z, h], [h.T, z]]), vectors=False).lam[:n]
         return sv ** (2.0 / p)
 
     @_entry
@@ -297,7 +307,7 @@ class PairTable(_Factored):
         end = self._end(t)
         if end is not None:
             return self._end_matrix(end)
-        e = self._sandwich_inner(t, p)
+        e = sym_eigen(self._sandwich_aggregate(t, p))
         _require_positive_spectrum(e, "sandwich aggregate")
         return e.apply(lambda x: x ** (1.0 / p))
 
@@ -309,7 +319,7 @@ class PairTable(_Factored):
             return self._end_spectrum(end)
         if self._sandwich_range_log10(t, p) > _SANDWICH_RANGE_LOG10_LIMIT:
             return self._sandwich_spectrum_via_factor(t, p)
-        e = self._sandwich_inner(t, p)
+        e = sym_eigen(self._sandwich_aggregate(t, p), vectors=False)
         _require_positive_spectrum(e, "sandwich aggregate")
         return e.lam ** (1.0 / p)
 
@@ -320,14 +330,14 @@ class PairTable(_Factored):
         return self.power(0, 1.0 - t) @ self.power(1, t)
 
     @_entry
-    def product_form(self, t: float, p: float) -> EigenDecomposition:
-        """Decomposition of A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}.
+    def product_spectrum(self, t: float, p: float) -> np.ndarray:
+        """Descending eigenvalues of A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}.
 
-        Its eigenvalues are those of the product A^{(1-t)p} B^{tp}.  Only the
+        They are the eigenvalues of the product A^{(1-t)p} B^{tp}.  Only the
         powers are checked, as ``pd_power`` checks them.
         """
         ah = self.power(0, (1.0 - t) * p / 2.0)
-        return sym_eigen(symmetrize(ah @ self.power(1, t * p) @ ah))
+        return sym_eigen(symmetrize(ah @ self.power(1, t * p) @ ah), vectors=False).lam
 
 
 class MultiTable(_Factored):
@@ -345,7 +355,7 @@ class MultiTable(_Factored):
     def checked(self) -> WeightVector:
         """The weights, with every matrix validated as by ``require_pd``."""
         w = WeightVector.coerce(self._weights)
-        ms = [self._require_pd(i, f"matrix {i}") for i in range(len(self._mats))]
+        ms = [self._require_pd(i, f"matrix {i}", self.eig) for i in range(len(self._mats))]
         if len(ms) != len(w):
             raise ValueError(f"{len(ms)} matrices but {len(w)} weights")
         shape = ms[0].shape
@@ -355,17 +365,16 @@ class MultiTable(_Factored):
         return w
 
     @_entry
-    def _inner(self, p: float) -> EigenDecomposition:
+    def _aggregate(self, p: float) -> np.ndarray:
+        """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0."""
         alphas = self.checked().alphas
         if p == 0.0:
-            h = sum(alpha * self.log(i) for i, alpha in enumerate(alphas))
-            return sym_eigen(symmetrize(h))
-        m = sum(alpha * self.power(i, p) for i, alpha in enumerate(alphas))
-        return sym_eigen(symmetrize(m))
+            return symmetrize(sum(alpha * self.log(i) for i, alpha in enumerate(alphas)))
+        return symmetrize(sum(alpha * self.power(i, p) for i, alpha in enumerate(alphas)))
 
     @_entry
     def power_mean(self, p: float) -> np.ndarray:
-        e = self._inner(p)
+        e = sym_eigen(self._aggregate(p))
         if p == 0.0:
             return e.apply(math.exp)
         _require_positive_spectrum(e, "multi power mean aggregate")
@@ -373,19 +382,20 @@ class MultiTable(_Factored):
 
     @_entry
     def power_mean_spectrum(self, p: float) -> np.ndarray:
-        e = self._inner(p)
+        e = sym_eigen(self._aggregate(p), vectors=False)
         if p == 0.0:
             return np.exp(e.lam)
         _require_positive_spectrum(e, "multi power mean aggregate")
         return np.sort(e.lam ** (1.0 / p))[::-1]
 
     @_entry
-    def power_sum(self, p: float) -> EigenDecomposition:
-        """Decomposition of the unweighted sum of the A_i^p.
+    def power_sum_spectrum(self, p: float) -> np.ndarray:
+        """Descending eigenvalues of the unweighted sum of the A_i^p.
 
         Only the powers are checked, as ``pd_power`` checks them.
         """
-        return sym_eigen(symmetrize(sum(self.power(i, p) for i in range(len(self._mats)))))
+        m = symmetrize(sum(self.power(i, p) for i in range(len(self._mats))))
+        return sym_eigen(m, vectors=False).lam
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def check_spectrum(values, nonnegative: bool = False) -> np.ndarray:
 
 def eigenvalues_desc(s) -> np.ndarray:
     """Descending eigenvalues of a symmetric matrix."""
-    return np.array(sym_eigen(s).lam)
+    return np.array(sym_eigen(s, vectors=False).lam)
 
 
 def product_eigenvalues(a, b) -> np.ndarray:
@@ -71,7 +71,7 @@ def product_eigenvalues(a, b) -> np.ndarray:
     bm = require_pd(b, "b")
     r = pd_power(am, 0.5)
     m = r @ bm @ r
-    lam = sym_eigen((m + m.T) * 0.5).lam
+    lam = sym_eigen((m + m.T) * 0.5, vectors=False).lam
     if float(lam[-1]) <= 0.0:
         raise ValueError(
             f"product spectrum not strictly positive (smallest {lam[-1]:.6e})"
@@ -173,7 +173,7 @@ def loewner_leq(a, b, tol: float = MAJORIZATION_TOL) -> tuple[bool, float]:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     d = bm - am
     d = (d + d.T) * 0.5
-    lam = sym_eigen(d).lam
+    lam = sym_eigen(d, vectors=False).lam
     margin = float(lam[-1])
     scale = 1.0 + float(np.max(np.abs(d))) if d.size else 1.0
     return margin >= -tol * scale, margin

@@ -31,6 +31,15 @@ def test_gen_round_trip_full_precision(tmp_path):
     assert np.array_equal(read_matrix(out), random_pd(4, 3.0, 9))
 
 
+@pytest.mark.parametrize("cond", ["inf", "nan"])
+def test_gen_rejects_non_finite_condition(cond, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    rc = run_cli(["gen", "--dim", "2", "--cond", cond, "--out", str(out)])
+    assert rc == 2
+    assert "error: cond_exponent must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_means_seed_env_overrides(tmp_path, monkeypatch):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     monkeypatch.setenv("MEANS_SEED", "77")
@@ -82,6 +91,22 @@ def test_check_zero_count(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["instances"] == 0
+
+
+def test_check_with_empty_grids_skips_what_checks_nothing(tmp_path, capsys):
+    # With no t values and no p grid, P1-P5 and P10 have no sub-inequality
+    # left; they are reported as skipped, never as a pass.
+    out = tmp_path / "r.jsonl"
+    rc = run_cli(["check", "--count", "2", "--t", "", "--p-grid", "", "--out", str(out)])
+    assert rc == 0
+    rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+    empty = {"P1", "P2", "P3", "P4", "P5", "P10"}
+    for row in rows[:-1]:
+        assert row["status"] == ("skipped" if row["property_id"] in empty else "pass")
+    counts = rows[-1]["properties"]
+    assert counts["P1"] == {"pass": 0, "fail": 0, "marginal": 0, "skipped": 2}
+    assert counts["P9"]["pass"] == 2
+    assert "P10: pass=0 fail=0 marginal=0 skipped=2" in capsys.readouterr().out
 
 
 def test_check_exit_one_on_failure(tmp_path, monkeypatch):

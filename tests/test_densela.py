@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matmeans import densela
+from matmeans.compound import compound_matrix
 from matmeans.densela import (
     EigenDecomposition,
     JacobiConvergenceError,
@@ -121,6 +123,109 @@ def test_sym_eigen_agrees_with_lapack():
         lam = sym_eigen(s).lam
         ref = np.sort(np.linalg.eigvalsh(s))[::-1]
         assert lam == pytest.approx(ref, abs=1e-12 * (1.0 + np.max(np.abs(ref))))
+
+
+# --- loop layouts and the spectrum-only mode ---------------------------------
+#
+# The list layout and the numpy row layout run the same rotations on the same
+# floats, and the spectrum-only mode skips only the eigenvector updates, so
+# every pair below must agree bit for bit, errors included.
+
+
+def _run_layout(sweep, m, max_sweeps, vectors):
+    """Bytes of the diagonal and q of one layout, or its convergence error text."""
+    a = (m + m.T) * 0.5
+    threshold = densela.JACOBI_OFF_REL * math.sqrt(float((a * a).sum()))
+    try:
+        diag, q = sweep(a, threshold, max_sweeps, vectors)
+    except JacobiConvergenceError as exc:
+        return str(exc)
+    return np.array(diag).tobytes(), None if q is None else np.asarray(q).tobytes()
+
+
+def _assert_layouts_agree(m):
+    for max_sweeps in (0, 1, densela.JACOBI_MAX_SWEEPS):
+        for vectors in (True, False):
+            lists = _run_layout(densela._sweep_lists, m, max_sweeps, vectors)
+            rows = _run_layout(densela._sweep_rows, m, max_sweeps, vectors)
+            assert lists == rows
+
+
+def _assert_modes_agree(m):
+    for max_sweeps in (0, 1, densela.JACOBI_MAX_SWEEPS):
+        try:
+            full = sym_eigen(m, max_sweeps)
+        except JacobiConvergenceError as exc:
+            with pytest.raises(JacobiConvergenceError) as again:
+                sym_eigen(m, max_sweeps, vectors=False)
+            assert str(again.value) == str(exc)
+            continue
+        lam_only = sym_eigen(m, max_sweeps, vectors=False)
+        assert lam_only.q is None
+        assert lam_only.lam.tobytes() == full.lam.tobytes()
+
+
+def _tied_pd(n, seed):
+    """Random orthogonal conjugate of a spectrum with every eigenvalue doubled."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.repeat(rng.uniform(1.0, 4.0, (n + 1) // 2), 2)[:n]
+    s = (q * lam) @ q.T
+    return (s + s.T) * 0.5
+
+
+def _sparse_symmetric(n, seed):
+    """Random symmetric matrix with about half its off-diagonal pairs exactly zero."""
+    rng = np.random.default_rng(seed)
+    m = random_symmetric(n, seed)
+    mask = np.triu(rng.random((n, n)) < 0.5, 1)
+    m[mask | mask.T] = 0.0
+    return m
+
+
+_SMALL_INPUTS = st.one_of(
+    st.builds(
+        random_pd,
+        st.integers(1, 8),
+        st.sampled_from([0.0, 1.5, 4.0, 8.0]),
+        st.integers(0, 10_000),
+    ),
+    st.builds(_tied_pd, st.integers(2, 8), st.integers(0, 10_000)),
+    st.builds(np.eye, st.integers(1, 8)),
+    st.builds(_sparse_symmetric, st.integers(2, 8), st.integers(0, 10_000)),
+)
+
+
+@st.composite
+def _compounds(draw):
+    n = draw(st.sampled_from([7, 8]))
+    k = draw(st.integers(2, n - 2))
+    x = np.random.default_rng(draw(st.integers(0, 10_000))).standard_normal((n, n))
+    c = compound_matrix(x, k)
+    return (c + c.T) * 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_INPUTS)
+def test_layouts_and_modes_agree_bitwise(m):
+    _assert_layouts_agree(m)
+    _assert_modes_agree(m)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_compounds())
+def test_layouts_and_modes_agree_bitwise_on_compounds(m):
+    _assert_layouts_agree(m)
+    _assert_modes_agree(m)
+
+
+def test_spectrum_only_result_cannot_apply_or_reconstruct():
+    e = sym_eigen(random_pd(3, 1.0, 4), vectors=False)
+    assert e.q is None
+    with pytest.raises(ValueError, match="spectrum-only"):
+        e.apply(math.sqrt)
+    with pytest.raises(ValueError, match="spectrum-only"):
+        e.reconstruct()
 
 
 # --- EigenDecomposition.apply ------------------------------------------------
@@ -281,6 +386,9 @@ def test_random_pd_rejects_bad_args():
         random_pd(0, 1.0, 1)
     with pytest.raises(ValueError):
         random_pd(3, -1.0, 1)
+    for cond in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="cond_exponent must be finite"):
+            random_pd(3, cond, 1)
 
 
 # --- matrix text format ------------------------------------------------------

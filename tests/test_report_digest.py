@@ -5,7 +5,9 @@ the means were computed through the per-instance table; any change in
 floating-point evaluation order, error text or serialization moves them.
 The `--cond 4` run covers error strings and NaN margins.  The `dim8` run
 checks every property at n = 8 except P6, the fixed 2x2 pair, and the
-slow P8.  From n = 8 on, a cumsum total and `np.sum` round differently
+slow P8; the `p8dim8` run checks P8 alone at n = 8, whose compounds of
+order 56 and 70 are the only decompositions that take the numpy row
+layout of the Jacobi sweeps.  From n = 8 on, a cumsum total and `np.sum` round differently
 for about half of random vectors, so it pins the cumsum total as the
 scale of the majorization margins; it was taken before those margins
 moved into `spectra`.
@@ -33,6 +35,11 @@ PINNED = {
          "--props", "P1,P2,P3,P4,P5,P7,P9,P10,P11,P12,P13,P14,P15"],
         0,
         "e29bb2e31a83431e5d7b1d3966e058ac9eea4b21ada0cf5bab2f40160d9119a6",
+    ),
+    "p8dim8": (
+        ["--seed", "1", "--count", "1", "--dims", "8", "--props", "P8"],
+        0,
+        "d7aef678ceb6048518882cc25656fe8399d4dd65dc636e283d79647c4bfae31c",
     ),
 }
 
