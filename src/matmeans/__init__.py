@@ -3,7 +3,6 @@
 from .densela import (
     EigenDecomposition,
     JacobiConvergenceError,
-    is_positive_definite,
     pd_log,
     pd_power,
     random_pd,
@@ -21,17 +20,7 @@ from .means import (
     power_mean_multi,
     sandwich_mean,
 )
-from .spectra import (
-    eigenvalues_desc,
-    ky_fan_norm,
-    loewner_leq,
-    log_majorize,
-    majorize,
-    product_eigenvalues,
-    schatten_norm,
-    weak_log_majorize,
-    weak_majorize,
-)
+from .spectra import eigenvalues_desc, ky_fan_norm, schatten_norm
 from .compound import compound_matrix
 from .suite import (
     CampaignConfig,

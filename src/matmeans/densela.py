@@ -1,11 +1,10 @@
 """Dense real symmetric linear-algebra kernel.
 
-Everything downstream (means, norms, majorization checks) is built on the
+Everything downstream (means, norms, the property checks) is built on the
 functional calculus provided here: a self-contained cyclic Jacobi
 eigensolver for small dense symmetric matrices, spectral function
-application, matrix powers / exp / log, singular values, positive
-definiteness tests with margins, and seeded random positive definite
-generation.
+application, matrix powers / exp / log, singular values, strict positive
+definiteness validation, and seeded random positive definite generation.
 
 The eigensolver has a spectrum-only mode (``vectors=False``) that skips
 the eigenvector updates; its eigenvalues are the same bits as those of a
@@ -33,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "SYM_REL_TOL",
-    "PSD_REL_TOL",
     "PD_REL_FACTOR",
     "JACOBI_OFF_REL",
     "JACOBI_MAX_SWEEPS",
@@ -47,7 +45,6 @@ __all__ = [
     "pd_log",
     "sym_exp",
     "singular_values",
-    "is_positive_definite",
     "require_pd",
     "require_pd_eigen",
     "random_pd",
@@ -59,8 +56,6 @@ __all__ = [
 
 # Relative symmetry slack accepted on input matrices.
 SYM_REL_TOL = 1e-12
-# Positive semidefiniteness: smallest eigenvalue > -PSD_REL_TOL * (1 + max |eig|).
-PSD_REL_TOL = 1e-9
 # Strict positive definiteness: smallest eigenvalue > n * PD_REL_FACTOR * largest.
 PD_REL_FACTOR = 1e-13
 # Jacobi stops once the off-diagonal Frobenius mass drops below
@@ -172,15 +167,15 @@ def clear_eigen_cache() -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _rotation_plan(n: int) -> tuple[tuple[int, int, bytes | tuple[int, ...]], ...]:
+def _rotation_plan(n: int) -> tuple[tuple[int, int, bytes], ...]:
     """Cyclic row-by-row order of the (p, r) rotations, each with the other indices.
 
-    The other indices are held as bytes where they fit, which keeps the plan
-    small enough to cache for every order the list layout sees.
+    The other indices are held as bytes, which keeps the plan small enough
+    to cache for every order the list layout sees (orders below
+    ``_ROW_LAYOUT_ORDER``).
     """
-    pack = bytes if n <= 256 else tuple
     return tuple(
-        (p, r, pack(k for k in range(n) if k != p and k != r))
+        (p, r, bytes(k for k in range(n) if k != p and k != r))
         for p in range(n - 1)
         for r in range(p + 1, n)
     )
@@ -396,23 +391,6 @@ def singular_values(x) -> np.ndarray:
     e = sym_eigen((g + g.T) * 0.5, vectors=False)
     vals = np.sqrt(np.maximum(e.lam, 0.0))
     return np.asarray(vals)
-
-
-def is_positive_definite(s, strict: bool = False) -> tuple[bool, float]:
-    """Definiteness test with the smallest eigenvalue returned as margin.
-
-    The default (semidefinite) test accepts smallest eigenvalue down to
-    -PSD_REL_TOL * (1 + max |eig|); ``strict`` applies the positive
-    definite threshold ``smallest > n * PD_REL_FACTOR * largest``.
-    """
-    e = sym_eigen(s, vectors=False)
-    small = float(e.lam[-1])
-    if strict:
-        ok = _pd_eigs_ok(e.lam)
-    else:
-        scale = 1.0 + float(np.max(np.abs(e.lam)))
-        ok = small > -PSD_REL_TOL * scale
-    return ok, small
 
 
 def require_pd(a, name: str = "matrix") -> np.ndarray:

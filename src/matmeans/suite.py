@@ -7,7 +7,9 @@ showing that the geometric mean is not pointwise eigenvalue-dominated by
 the log-Euclidean mean.  Properties are evaluated on seeded random
 positive definite instances; every norm-level claim is checked over the
 full Ky Fan family k = 1..n, which by Fan dominance covers all unitarily
-invariant norms.
+invariant norms.  Each sub-inequality is recorded in a
+:class:`MarginTracker`, whose ``compare`` holds the margin formula of every
+kind; the tightest margin decides the verdict, and a NaN margin fails it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .densela import (
     symmetrize,
 )
 from .means import MultiTable, PairTable, geometric_mean
-from .spectra import eigenvalues_desc, log_prefix, prefix_margins
+from .spectra import eigenvalues_desc, log_prefix
 
 __all__ = [
     "DEFAULT_T_VALUES",
@@ -203,11 +205,16 @@ class PropertyResult:
 
 
 class MarginTracker:
-    """Accumulates normalized sub-inequality margins, keeping the worst."""
+    """Accumulates normalized sub-inequality margins, keeping the worst.
+
+    A NaN margin is never the worst, so the first one is kept apart: a
+    sub-inequality that evaluated to NaN was not shown to hold.
+    """
 
     def __init__(self):
         self.worst = math.inf
         self.witness = Witness()
+        self.nan_witness: Witness | None = None
         self.count = 0
 
     def add(self, margin, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
@@ -216,48 +223,50 @@ class MarginTracker:
         if m < self.worst:
             self.worst = m
             self.witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
+        elif math.isnan(m) and self.nan_witness is None:
+            self.nan_witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
 
-    def leq(self, lhs, rhs, *, t=None, p=None, norm_id=None):
-        """lhs <= rhs with margin (rhs - lhs) / (1 + max(|lhs|, |rhs|))."""
-        lv = float(lhs)
-        rv = float(rhs)
-        scale = 1.0 + max(abs(lv), abs(rv))
-        self.add((rv - lv) / scale, t=t, p=p, norm_id=norm_id, lhs=lv, rhs=rv)
+    def compare(self, kind, lhs, rhs, label=None, *, t=None, p=None):
+        """Record lhs <= rhs (lhs == rhs for ``eq``), one sub-inequality per entry.
 
-    def eq(self, lhs, rhs, *, t=None, p=None, norm_id=None):
-        """lhs == rhs with margin -|lhs - rhs| / (1 + max(|lhs|, |rhs|))."""
-        lv = float(lhs)
-        rv = float(rhs)
-        scale = 1.0 + max(abs(lv), abs(rv))
-        self.add(-abs(lv - rv) / scale, t=t, p=p, norm_id=norm_id, lhs=lv, rhs=rv)
+        ``lhs`` and ``rhs`` are two scalars, recorded under ``label``, or two
+        equal-length vectors, whose entry k is recorded under ``label:k``;
+        ``label`` defaults to the kind.  The margin of entry k is:
+
+        * ``leq``: (r_k - l_k) / (1 + max(|l_k|, |r_k|));
+        * ``eq``: -|l_k - r_k| / (1 + max(|l_k|, |r_k|));
+        * ``KyFan``: ``leq`` on the prefix sums, which by Fan dominance
+          covers every unitarily invariant norm;
+        * ``sum``, ``logsum``: (r_k - l_k) / (1 + max(|l_n|, |r_n|)) on the
+          prefix sums of the entries, or of their logarithms, so the
+          totals set the scale of every k.
+
+        Returns the compared values (l, r): the prefix sums for the prefix
+        kinds.
+        """
+        if kind not in _KINDS:
+            raise ValueError(f"unknown comparison kind {kind!r}")
+        l = np.asarray(lhs, dtype=float)
+        r = np.asarray(rhs, dtype=float)
+        if kind == "logsum":
+            l, r = log_prefix(l), log_prefix(r)
+        elif kind in ("KyFan", "sum"):
+            l, r = np.cumsum(l), np.cumsum(r)
+        if kind in ("sum", "logsum"):
+            scale = 1.0 + max(abs(float(l[-1])), abs(float(r[-1])))
+        else:
+            scale = 1.0 + np.maximum(np.abs(l), np.abs(r))
+        margins = (-np.abs(l - r) if kind == "eq" else r - l) / scale
+        label = label or kind
+        if l.ndim == 0:
+            self.add(margins, t=t, p=p, norm_id=label, lhs=float(l), rhs=float(r))
+            return l, r
+        for k, (m, lv, rv) in enumerate(zip(margins.tolist(), l.tolist(), r.tolist()), 1):
+            self.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
+        return l, r
 
 
-def _kyfan_leq(tr, lhs_spec, rhs_spec, *, t=None, p=None, lhs_factor=1.0):
-    """Ky Fan domination of singular spectra over the whole family k = 1..n."""
-    lp = np.cumsum(lhs_spec) * lhs_factor
-    rp = np.cumsum(rhs_spec)
-    for k in range(lp.shape[0]):
-        tr.leq(lp[k], rp[k], t=t, p=p, norm_id=f"KyFan:{k + 1}")
-
-
-def _prefix_leq(tr, lhs_spec, rhs_spec, *, log=False, det_equality=False, t=None, p=None):
-    """Prefix domination, one sub-inequality per k, with the margins of ``prefix_margins``.
-
-    The prefixes are sums, or with ``log`` sums of logarithms; with
-    ``det_equality`` the log totals must also agree.
-    """
-    if log:
-        lx, ly, label = log_prefix(lhs_spec), log_prefix(rhs_spec), "logsum"
-    else:
-        lx, ly, label = np.cumsum(lhs_spec), np.cumsum(rhs_spec), "sum"
-    margins = prefix_margins(lx, ly)
-    for k in range(lx.shape[0]):
-        tr.add(
-            margins[k],
-            t=t, p=p, norm_id=f"{label}:{k + 1}", lhs=float(lx[k]), rhs=float(ly[k]),
-        )
-    if det_equality:
-        tr.eq(lx[-1], ly[-1], t=t, p=p, norm_id="logdet")
+_KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
 
 
 def _abs_eig_spectrum(s) -> np.ndarray:
@@ -293,11 +302,8 @@ def _p1(data: InstanceData, tr: MarginTracker) -> None:
     means, spec = data.means, data.spec
     for t in spec.t_values:
         specs = [means.power_mean_spectrum(t, p) for p in spec.p_grid]
-        for (p_lo, s_lo), (p_hi, s_hi) in zip(
-            zip(spec.p_grid, specs), zip(spec.p_grid[1:], specs[1:])
-        ):
-            for j in range(spec.dim):
-                tr.leq(s_lo[j], s_hi[j], t=t, p=p_hi, norm_id=f"lambda:{j + 1}")
+        for p_hi, s_lo, s_hi in zip(spec.p_grid[1:], specs, specs[1:]):
+            tr.compare("leq", s_lo, s_hi, "lambda", t=t, p=p_hi)
 
 
 def _p2(data: InstanceData, tr: MarginTracker) -> None:
@@ -306,9 +312,9 @@ def _p2(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_le = means.log_euclidean_spectrum(t)
-        _kyfan_leq(tr, s_geo, s_le, t=t)
+        tr.compare("KyFan", s_geo, s_le, t=t)
         for p in _positive_grid(spec):
-            _kyfan_leq(tr, s_le, means.power_mean_spectrum(t, p), t=t, p=p)
+            tr.compare("KyFan", s_le, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p3(data: InstanceData, tr: MarginTracker) -> None:
@@ -317,11 +323,11 @@ def _p3(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_le = means.log_euclidean_spectrum(t)
-        _kyfan_leq(tr, s_geo, s_le, t=t)
+        tr.compare("KyFan", s_geo, s_le, t=t)
         for p in _positive_grid(spec):
             s_sw = means.sandwich_mean_spectrum(t, p)
-            _kyfan_leq(tr, s_le, s_sw, t=t, p=p)
-            _kyfan_leq(tr, s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
+            tr.compare("KyFan", s_le, s_sw, t=t, p=p)
+            tr.compare("KyFan", s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p4(data: InstanceData, tr: MarginTracker) -> None:
@@ -338,7 +344,7 @@ def _p4(data: InstanceData, tr: MarginTracker) -> None:
             eigenvalues_desc(means.arithmetic(t)),
         ]
         for lhs, rhs in zip(chain, chain[1:]):
-            _kyfan_leq(tr, lhs, rhs, t=t, p=1.0)
+            tr.compare("KyFan", lhs, rhs, t=t, p=1.0)
 
 
 def _p5(data: InstanceData, tr: MarginTracker) -> None:
@@ -347,10 +353,12 @@ def _p5(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_le = means.log_euclidean_spectrum(t)
-        _prefix_leq(tr, s_geo, s_le, log=True, det_equality=True, t=t)
+        lx, ly = tr.compare("logsum", s_geo, s_le, t=t)
+        tr.compare("eq", lx[-1], ly[-1], "logdet", t=t)
         for p in _positive_grid(spec):
             s_sw = means.sandwich_mean_spectrum(t, p)
-            _prefix_leq(tr, s_le, s_sw, log=True, det_equality=True, t=t, p=p)
+            lx, ly = tr.compare("logsum", s_le, s_sw, t=t, p=p)
+            tr.compare("eq", lx[-1], ly[-1], "logdet", t=t, p=p)
             # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
             # is exactly A^p or B^p; taking its root directly avoids the
             # power round trip, matching the means' endpoint handling.
@@ -360,9 +368,8 @@ def _p5(data: InstanceData, tr: MarginTracker) -> None:
                 s_dual = means.eig(1).lam
             else:
                 s_dual = means.product_spectrum(t, p) ** (1.0 / p)
-            for j in range(spec.dim):
-                tr.eq(s_sw[j], s_dual[j], t=t, p=p, norm_id=f"lambda:{j + 1}")
-            _prefix_leq(tr, s_sw, means.power_mean_spectrum(t, p), log=True, t=t, p=p)
+            tr.compare("eq", s_sw, s_dual, "lambda", t=t, p=p)
+            tr.compare("logsum", s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
 
 
 def _p6(data: InstanceData, tr: MarginTracker) -> None:
@@ -381,13 +388,14 @@ def _p7(data: InstanceData, tr: MarginTracker) -> None:
     means = data.means
     s_geo = means.geometric_spectrum(0.5)
     s_lee = means.sandwich_mean_spectrum(0.5, 1.0)
-    _prefix_leq(tr, s_geo, s_lee, log=True, det_equality=True, t=0.5)
-    _prefix_leq(tr, s_geo, s_lee, t=0.5)
+    lx, ly = tr.compare("logsum", s_geo, s_lee, t=0.5)
+    tr.compare("eq", lx[-1], ly[-1], "logdet", t=0.5)
+    tr.compare("sum", s_geo, s_lee, t=0.5)
     ld_geo = float(np.sum(np.log(s_geo)))
     ld_ab = 0.5 * float(np.sum(np.log(means.eig(0).lam)) + np.sum(np.log(means.eig(1).lam)))
-    tr.eq(ld_geo, ld_ab, t=0.5, norm_id="logdet")
+    tr.compare("eq", ld_geo, ld_ab, "logdet", t=0.5)
     root_product_trace = float(np.trace(means.power(0, 0.5) @ means.power(1, 0.5)))
-    tr.leq(float(np.sum(s_geo)), root_product_trace, t=0.5, norm_id="trace")
+    tr.compare("leq", float(np.sum(s_geo)), root_product_trace, "trace", t=0.5)
 
 
 def _p8(data: InstanceData, tr: MarginTracker) -> None:
@@ -417,20 +425,17 @@ def _p9(data: InstanceData, tr: MarginTracker) -> None:
     """Multi-matrix monotonicity, unnormalized decrease on (0, 1], sum-power bound."""
     multi, spec = data.multi_means, data.spec
     specs = [multi.power_mean_spectrum(p) for p in spec.p_grid]
-    for (p_lo, s_lo), (p_hi, s_hi) in zip(
-        zip(spec.p_grid, specs), zip(spec.p_grid[1:], specs[1:])
-    ):
-        for j in range(spec.dim):
-            tr.leq(s_lo[j], s_hi[j], p=p_hi, norm_id=f"lambda:{j + 1}")
+    for p_hi, s_lo, s_hi in zip(spec.p_grid[1:], specs, specs[1:]):
+        tr.compare("leq", s_lo, s_hi, "lambda", p=p_hi)
 
     unit_ps = [p for p in spec.p_grid if 0.0 < p <= 1.0]
     unit_specs = {p: _unnormalized_power_spectrum(multi, p) for p in unit_ps}
     for p_lo, p_hi in zip(unit_ps, unit_ps[1:]):
-        _kyfan_leq(tr, unit_specs[p_hi], unit_specs[p_lo], p=p_hi)
+        tr.compare("KyFan", unit_specs[p_hi], unit_specs[p_lo], p=p_hi)
 
     lam_sum = eigenvalues_desc(symmetrize(sum(data.multi)))
     for r in BK_EXPONENTS:
-        _kyfan_leq(tr, multi.power_sum_spectrum(r), lam_sum**r, p=r)
+        tr.compare("KyFan", multi.power_sum_spectrum(r), lam_sum**r, p=r)
 
 
 def _p10(data: InstanceData, tr: MarginTracker) -> None:
@@ -438,7 +443,7 @@ def _p10(data: InstanceData, tr: MarginTracker) -> None:
     multi, spec = data.multi_means, data.spec
     s_le = multi.power_mean_spectrum(0.0)
     for p in _positive_grid(spec):
-        _kyfan_leq(tr, s_le, multi.power_mean_spectrum(p), p=p)
+        tr.compare("KyFan", s_le, multi.power_mean_spectrum(p), p=p)
 
 
 def _p11(data: InstanceData, tr: MarginTracker) -> None:
@@ -453,7 +458,7 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
         lam = sym_eigen(symmetrize(block), vectors=False).lam
         scale = 1.0 + float(np.max(np.abs(lam)))
         tr.add(float(lam[-1]) / scale, norm_id=f"{label}:minlam", lhs=float(lam[-1]), rhs=0.0)
-    _kyfan_leq(tr, means.geometric_spectrum(0.5), singular_values(w))
+    tr.compare("KyFan", means.geometric_spectrum(0.5), singular_values(w))
 
 
 def _p12(data: InstanceData, tr: MarginTracker) -> None:
@@ -461,15 +466,16 @@ def _p12(data: InstanceData, tr: MarginTracker) -> None:
     a, b, means, spec = data.a, data.b, data.means, data.spec
     s_ab = singular_values(a @ b)
     s_sum_sq = eigenvalues_desc(symmetrize(a + b)) ** 2
-    _kyfan_leq(tr, s_ab, s_sum_sq, lhs_factor=4.0)
+    # Ky Fan on the prefix sums, the factor 4 applied after the cumsum.
+    tr.compare("leq", np.cumsum(s_ab) * 4.0, np.cumsum(s_sum_sq), "KyFan")
 
     ra = means.power(0, 0.5)
     rb = means.power(1, 0.5)
     s_roots = singular_values(ra @ rb)
     s_avg_sq = eigenvalues_desc(symmetrize((ra + rb) * 0.5)) ** 2
-    _kyfan_leq(tr, s_roots, s_avg_sq)
+    tr.compare("KyFan", s_roots, s_avg_sq)
     for p in (pp for pp in spec.p_grid if pp >= 0.5):
-        _kyfan_leq(tr, s_avg_sq, means.power_mean_spectrum(0.5, p), p=p)
+        tr.compare("KyFan", s_avg_sq, means.power_mean_spectrum(0.5, p), p=p)
 
 
 def _p13(data: InstanceData, tr: MarginTracker) -> None:
@@ -478,19 +484,20 @@ def _p13(data: InstanceData, tr: MarginTracker) -> None:
     for t in spec.t_values:
         s_geo = means.geometric_spectrum(t)
         s_cross = means.product_spectrum(t, 1.0)
-        _prefix_leq(tr, s_geo, s_cross, log=True, det_equality=True, t=t)
+        lx, ly = tr.compare("logsum", s_geo, s_cross, t=t)
+        tr.compare("eq", lx[-1], ly[-1], "logdet", t=t)
 
     rb = means.power(1, 0.5)
     lam_bab_half = eigenvalues_desc(symmetrize(rb @ a @ rb))
     s_geo_mid = means.geometric_spectrum(0.5)
-    _kyfan_leq(tr, s_geo_mid, np.sqrt(lam_bab_half), t=0.5)
-    _kyfan_leq(tr, s_geo_mid**2, lam_bab_half, t=0.5)
+    tr.compare("KyFan", s_geo_mid, np.sqrt(lam_bab_half), t=0.5)
+    tr.compare("KyFan", s_geo_mid**2, lam_bab_half, t=0.5)
 
     lam_bab = eigenvalues_desc(symmetrize(b @ a @ b))
     for t in spec.t_values:
         bt = means.power(1, t)
         inner = eigenvalues_desc(symmetrize(bt @ means.power(0, t) @ bt))
-        _kyfan_leq(tr, inner, lam_bab**t, t=t)
+        tr.compare("KyFan", inner, lam_bab**t, t=t)
 
 
 def _p14(data: InstanceData, tr: MarginTracker) -> None:
@@ -499,7 +506,7 @@ def _p14(data: InstanceData, tr: MarginTracker) -> None:
     ra = data.means.power(0, 0.5)
     lhs = _abs_eig_spectrum(symmetrize(ra @ x @ ra))
     rhs = _abs_eig_spectrum(symmetrize((a @ x + x @ a) * 0.5))
-    _kyfan_leq(tr, lhs, rhs)
+    tr.compare("KyFan", lhs, rhs)
 
 
 def _p15(data: InstanceData, tr: MarginTracker) -> None:
@@ -516,7 +523,7 @@ def _p15(data: InstanceData, tr: MarginTracker) -> None:
     s_expsum = np.exp(sym_eigen(symmetrize(h + k), vectors=False).lam)
     ek2 = sym_exp(k * 0.5)
     s_prod = eigenvalues_desc(symmetrize(ek2 @ sym_exp(h) @ ek2))
-    _kyfan_leq(tr, s_expsum, s_prod)
+    tr.compare("KyFan", s_expsum, s_prod)
 
 
 _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
@@ -557,14 +564,18 @@ def evaluate_property(
             error=f"{type(exc).__name__}: {exc}",
         )
     status, marginal = _classify(tr.worst, tol)
+    worst, witness = tr.worst, tr.witness
+    if tr.nan_witness is not None and status != "fail":
+        # A NaN sub-inequality fails, unless a finite margin already failed.
+        status, marginal, worst, witness = "fail", False, math.nan, tr.nan_witness
     return PropertyResult(
         property_id=property_id,
         seed=data.spec.seed,
         dim=data.spec.dim,
         status=status,
         marginal=marginal,
-        worst_margin=tr.worst,
-        witness=tr.witness,
+        worst_margin=worst,
+        witness=witness,
         subineq=tr.count,
     )
 

@@ -13,12 +13,12 @@ from matmeans.densela import (
     EigenDecomposition,
     JacobiConvergenceError,
     format_matrix,
-    is_positive_definite,
     parse_matrix,
     pd_log,
     pd_power,
     random_pd,
     read_matrix,
+    require_pd,
     singular_values,
     sym_eigen,
     sym_exp,
@@ -338,24 +338,23 @@ def test_singular_values_of_psd_equal_eigenvalues():
     assert np.max(np.abs(sv - lam)) <= 1e-9 * (1.0 + lam[0])
 
 
-# --- is_positive_definite ----------------------------------------------------
+# --- require_pd --------------------------------------------------------------
 
 
 def test_is_pd_identity():
-    ok, margin = is_positive_definite(np.eye(3))
-    assert ok and margin == pytest.approx(1.0)
+    assert np.array_equal(require_pd(np.eye(3)), np.eye(3))
 
 
 def test_is_pd_indefinite():
-    ok, margin = is_positive_definite(np.diag([1.0, -1.0]))
-    assert not ok and margin == pytest.approx(-1.0)
+    with pytest.raises(ValueError, match=r"smallest eigenvalue -1\.0+e\+00"):
+        require_pd(np.diag([1.0, -1.0]))
 
 
 def test_is_pd_strict_rejects_near_singular():
-    ok, _ = is_positive_definite(np.diag([1.0, 1e-15]), strict=True)
-    assert not ok
-    ok_psd, _ = is_positive_definite(np.diag([1.0, 1e-15]))
-    assert ok_psd
+    # Strict definiteness needs smallest > n * 1e-13 * largest.
+    with pytest.raises(ValueError, match="not positive definite"):
+        require_pd(np.diag([1.0, 1e-15]))
+    require_pd(np.diag([1.0, 1e-12]))
 
 
 # --- random_pd ---------------------------------------------------------------
@@ -374,8 +373,7 @@ def test_random_pd_deterministic(seed, n):
 
 def test_random_pd_eigenvalue_bounds():
     m = random_pd(4, 3.0, 7)
-    ok, _ = is_positive_definite(m, strict=True)
-    assert ok
+    require_pd(m)
     lam = sym_eigen(m).lam
     assert lam[-1] >= 1e-3 * (1.0 - 1e-9)
     assert lam[0] <= 1e3 * (1.0 + 1e-9)

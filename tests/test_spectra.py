@@ -6,20 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matmeans.densela import pd_power, random_pd, symmetrize
-from matmeans.spectra import (
-    check_spectrum,
-    eigenvalues_desc,
-    ky_fan_norm,
-    loewner_leq,
-    log_majorize,
-    log_prefix,
-    majorize,
-    prefix_margins,
-    product_eigenvalues,
-    schatten_norm,
-    weak_log_majorize,
-    weak_majorize,
-)
+from matmeans.means import PairTable
+from matmeans.spectra import eigenvalues_desc, ky_fan_norm, log_prefix, schatten_norm
+from matmeans.suite import MarginTracker
+
+
+def margins(kind, x, y):
+    """The per-k margins that MarginTracker.compare records for a prefix kind."""
+    tr = MarginTracker()
+    seen = []
+    tr.add = lambda m, **kw: seen.append(m)
+    tr.compare(kind, x, y)
+    return seen
+
+
+def majorized(kind, x, y, tol=1e-9):
+    """Prefix domination plus equal totals, recorded as P5 and P7 record them."""
+    tr = MarginTracker()
+    lx, ly = tr.compare(kind, x, y)
+    tr.compare("eq", lx[-1], ly[-1])
+    return tr.worst >= -tol
+
+
+def product_eigenvalues(a, b):
+    """Eigenvalues of A B from the product form A^(1/2) B A^(1/2) of the table."""
+    return PairTable(a, b).product_spectrum(0.5, 2.0)
 
 
 def test_eigenvalues_desc_trivial():
@@ -78,54 +89,41 @@ def test_schatten_norms():
 
 
 def test_weak_majorize_basic():
-    ok, _ = weak_majorize([2.0, 1.0], [3.0, 1.0])
-    assert ok
-    ok, margins = weak_majorize([3.0, 1.0], [2.0, 1.0])
-    assert not ok and margins[0] < 0
+    assert min(margins("sum", [2.0, 1.0], [3.0, 1.0])) >= 0.0
+    assert margins("sum", [3.0, 1.0], [2.0, 1.0])[0] < 0
 
 
 def test_weak_majorize_reflexive_zero_margins():
     x = np.array([3.0, 2.0, 0.5])
-    ok, margins = weak_majorize(x, x)
-    assert ok and np.array_equal(margins, np.zeros(3))
+    assert margins("sum", x, x) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [2, 7, 8, 13])
 def test_prefix_margins_are_scaled_by_the_cumsum_totals(n):
-    # Reference: the scalar loop the property suite evaluated before the
-    # margins moved here.  From n = 8 on, np.sum and the last cumsum entry
-    # can round differently, so the scale must come from the prefixes.
+    # Reference: a scalar loop over k.  From n = 8 on, np.sum and the last
+    # cumsum entry can round differently, so the scale must come from the
+    # prefixes.
     rng = np.random.default_rng(n)
     for _ in range(20):
         x = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
         y = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
-        lx, ly = np.cumsum(x), np.cumsum(y)
-        scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
-        want = [(float(ly[k]) - float(lx[k])) / scale for k in range(n)]
-        assert prefix_margins(lx, ly).tolist() == want
-        assert weak_majorize(x, y)[1].tolist() == want
-        lx, ly = log_prefix(x), log_prefix(y)
-        scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
-        want = [(float(ly[k]) - float(lx[k])) / scale for k in range(n)]
-        assert weak_log_majorize(x, y)[1].tolist() == want
+        for kind, prefix in (("sum", np.cumsum), ("logsum", log_prefix)):
+            lx, ly = prefix(x), prefix(y)
+            scale = 1.0 + max(abs(float(lx[-1])), abs(float(ly[-1])))
+            want = [(float(ly[k]) - float(lx[k])) / scale for k in range(n)]
+            assert margins(kind, x, y) == want
 
 
 def test_majorize_needs_sum_equality():
-    assert majorize([2.0, 2.0], [3.0, 1.0])
-    assert not majorize([2.0, 1.0], [3.0, 1.0])
-    assert majorize([2.0, 1.0], [2.0, 1.0])
+    assert majorized("sum", [2.0, 2.0], [3.0, 1.0])
+    assert not majorized("sum", [2.0, 1.0], [3.0, 1.0])
+    assert majorized("sum", [2.0, 1.0], [2.0, 1.0])
 
 
 def test_log_majorize_basic():
-    assert log_majorize([2.0, 2.0], [4.0, 1.0])
-    ok, margins = weak_log_majorize([4.0, 1.0], [2.0, 2.0])
-    assert not ok and margins[0] < 0
-    assert log_majorize([2.0, 1.0], [2.0, 1.0])
-
-
-def test_log_majorize_rejects_nonpositive():
-    with pytest.raises(ValueError, match="positive"):
-        weak_log_majorize([1.0, 0.0], [1.0, 0.5])
+    assert majorized("logsum", [2.0, 2.0], [4.0, 1.0])
+    assert margins("logsum", [4.0, 1.0], [2.0, 2.0])[0] < 0
+    assert majorized("logsum", [2.0, 1.0], [2.0, 1.0])
 
 
 def test_weak_log_implies_weak_seeded_corpus():
@@ -137,10 +135,8 @@ def test_weak_log_implies_weak_seeded_corpus():
         # scaling by a descending factor in (0, 1] forces weak log majorization
         u = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
         x = y * u
-        ok_wlog, _ = weak_log_majorize(x, y)
-        assert ok_wlog
-        ok_w, _ = weak_majorize(x, y)
-        assert ok_w
+        assert min(margins("logsum", x, y)) >= -1e-9
+        assert min(margins("sum", x, y)) >= -1e-9
         checked += 1
     assert checked == 1000
 
@@ -154,28 +150,5 @@ def test_weak_log_implies_weak_property(xs, ys):
     n = min(len(xs), len(ys))
     x = np.sort(np.array(xs[:n]))[::-1]
     y = np.sort(np.array(ys[:n]))[::-1]
-    ok_wlog, _ = weak_log_majorize(x, y, tol=0.0)
-    if ok_wlog:
-        ok_w, _ = weak_majorize(x, y, tol=1e-12)
-        assert ok_w
-
-
-def test_loewner_basic():
-    a = random_pd(3, 1.0, 5)
-    ok, margin = loewner_leq(a, a)
-    assert ok and margin == pytest.approx(0.0, abs=1e-12)
-    ok, _ = loewner_leq(np.eye(2), 2.0 * np.eye(2))
-    assert ok
-    ok, _ = loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]))
-    assert not ok
-
-
-def test_check_spectrum_validation():
-    with pytest.raises(ValueError):
-        check_spectrum([1.0, 2.0])
-    with pytest.raises(ValueError):
-        check_spectrum([1.0, -0.5], nonnegative=True)
-    with pytest.raises(ValueError):
-        check_spectrum([np.inf, 1.0])
-    v = check_spectrum([2.0, 1.0])
-    assert np.array_equal(v, [2.0, 1.0])
+    if min(margins("logsum", x, y)) >= 0.0:
+        assert min(margins("sum", x, y)) >= -1e-12

@@ -1,10 +1,13 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matmeans.densela import is_positive_definite, random_pd, symmetrize
+from matmeans.densela import random_pd, sym_eigen, symmetrize
 from matmeans.means import (
     arithmetic_path,
     cross_term,
@@ -12,10 +15,12 @@ from matmeans.means import (
     log_euclidean,
     sandwich_mean,
 )
+from matmeans import suite
 from matmeans.suite import (
     CampaignConfig,
     InstanceData,
     InstanceSpec,
+    MarginTracker,
     PROPERTY_IDS,
     build_instance,
     check_property,
@@ -47,8 +52,9 @@ def test_paper_counterexample_values():
 def test_geometric_mean_block_certificate_on_reference_pair():
     a, b = paper_pair()
     g = geometric_mean(a, b, 0.5)
-    ok, _ = is_positive_definite(np.block([[a, g], [g, b]]))
-    assert ok
+    lam = sym_eigen(np.block([[a, g], [g, b]]), vectors=False).lam
+    # Positive semidefinite: [[A, G], [G, B]] is singular in exact arithmetic.
+    assert lam[-1] > -1e-9 * (1.0 + np.max(np.abs(lam)))
 
 
 def test_p6_passes_on_any_instance():
@@ -103,6 +109,112 @@ def test_crashing_check_is_reported_as_failure():
     assert res.status == "fail"
     assert res.error is not None and "positive definite" in res.error
     assert res.worst_margin == -math.inf
+
+
+def _recorded(kind, lhs, rhs, label=None):
+    """(margin, norm_id, lhs, rhs) of every sub-inequality that compare adds."""
+    tr = MarginTracker()
+    seen = []
+    tr.add = lambda m, **kw: seen.append((m, kw["norm_id"], kw["lhs"], kw["rhs"]))
+    tr.compare(kind, lhs, rhs, label)
+    return seen
+
+
+def _old_scalar(kind, lhs, rhs):
+    """The per-entry margin of the former scalar MarginTracker.leq / .eq."""
+    lv, rv = float(lhs), float(rhs)
+    scale = 1.0 + max(abs(lv), abs(rv))
+    margin = -abs(lv - rv) / scale if kind == "eq" else (rv - lv) / scale
+    return margin, lv, rv
+
+
+def _bits(values):
+    return [struct.pack("<d", float(v)) for v in values]
+
+
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _vector_pair(draw):
+    n = draw(st.integers(1, 8))
+    lhs = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    # Drawing from lhs gives ties, and equal prefix sums for Ky Fan.
+    rhs = draw(st.lists(_ENTRY | st.sampled_from(lhs), min_size=n, max_size=n))
+    return lhs, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_pair())
+def test_record_margins_match_the_scalar_formulas_bitwise(pair):
+    lhs, rhs = pair
+    with np.errstate(all="ignore"):
+        cases = [
+            ("leq", "lambda", lhs, rhs),
+            ("eq", "lambda", lhs, rhs),
+            ("KyFan", "KyFan", np.cumsum(lhs), np.cumsum(rhs)),
+        ]
+        for kind, label, lp, rp in cases:
+            got = _recorded(kind, np.array(lhs), np.array(rhs), label)
+            want = [_old_scalar(kind, lv, rv) for lv, rv in zip(lp, rp)]
+            assert [g[1] for g in got] == [f"{label}:{k}" for k in range(1, len(lhs) + 1)]
+            for (gm, _, gl, gr), (wm, wl, wr) in zip(got, want):
+                assert _bits([gl, gr]) == _bits([wl, wr])
+                assert (math.isnan(gm) and math.isnan(wm)) or _bits([gm]) == _bits([wm])
+        for kind in ("leq", "eq"):
+            ((gm, label, gl, gr),) = _recorded(kind, lhs[0], rhs[0], "trace")
+            wm, wl, wr = _old_scalar(kind, lhs[0], rhs[0])
+            assert label == "trace" and _bits([gm, gl, gr]) == _bits([wm, wl, wr])
+
+
+def test_record_keeps_the_sign_of_zero_margins():
+    assert _bits(m for m, *_ in _recorded("eq", [0.0, -0.0, 2.0], [-0.0, 0.0, 2.0])) == _bits(
+        [-0.0, -0.0, -0.0]
+    )
+    assert _bits(m for m, *_ in _recorded("leq", [0.0, -0.0], [-0.0, -0.0])) == _bits(
+        [-0.0, 0.0]
+    )
+
+
+def test_record_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown comparison kind"):
+        MarginTracker().compare("geq", 1.0, 2.0)
+
+
+def _forced(monkeypatch, *margins):
+    """P7 replaced by a check that adds the given margins in order."""
+
+    def check(data, tr):
+        for k, m in enumerate(margins, 1):
+            tr.add(m, norm_id=f"forced:{k}", lhs=float(k), rhs=m)
+
+    monkeypatch.setitem(suite._CATALOGUE, "P7", check)
+    return materialize(InstanceSpec(seed=5, dim=2, cond_exponent=1.0))
+
+
+def test_nan_only_margins_fail(monkeypatch):
+    res = check_property("P7", _forced(monkeypatch, math.nan, math.nan))
+    assert (res.status, res.marginal, res.witness.norm_id) == ("fail", False, "forced:1")
+    assert math.isnan(res.worst_margin)
+    obj = result_to_json_obj(res)
+    assert obj["status"] == "fail" and obj["worst_margin"] is None
+
+
+def test_nan_beside_a_passing_margin_fails(monkeypatch):
+    for margins in ((0.5, math.nan), (math.nan, 0.5), (-5e-8, math.nan)):
+        res = evaluate_property("P7", _forced(monkeypatch, *margins))
+        assert res.status == "fail" and math.isnan(res.worst_margin)
+        assert res.witness.norm_id == f"forced:{margins.index(math.nan) + 1}"
+
+
+def test_nan_beside_a_finite_fail_keeps_the_finite_witness(monkeypatch):
+    for margins in ((-0.25, math.nan), (math.nan, -0.25)):
+        res = evaluate_property("P7", _forced(monkeypatch, *margins))
+        assert (res.status, res.worst_margin) == ("fail", -0.25)
+        assert res.witness.norm_id == f"forced:{margins.index(-0.25) + 1}"
 
 
 def test_instance_spec_validation():
