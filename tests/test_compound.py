@@ -1,8 +1,10 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from matmeans import compound
 from matmeans.compound import compound_matrix
 from matmeans.densela import random_pd, symmetrize
 from matmeans.means import geometric_mean
@@ -96,3 +98,36 @@ def test_geometric_mean_compound_identity_smoke(seed):
         )
         scale = 1.0 + max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-7 * scale
+
+
+def _one_batch(x, k):
+    """Every k x k block in one batched ``det``: the compound without chunks."""
+    rows = np.array(list(combinations(range(x.shape[0]), k)))
+    return np.linalg.det(x[rows[:, None, :, None], rows[None, :, None, :]])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chunked_compound_equals_one_batch_bitwise(n, monkeypatch):
+    x = random_square(n, n)
+    for k in range(2, n + 1):
+        whole = _one_batch(x, k).tobytes()
+        size = math.comb(n, k)
+        # One chunk, one row per chunk, and three rows per chunk with a
+        # shorter last chunk when 3 does not divide C(n, k).
+        for entries in (compound._CHUNK_ENTRIES, 1, 3 * size * k * k):
+            monkeypatch.setattr(compound, "_CHUNK_ENTRIES", entries)
+            assert compound_matrix(x, k).tobytes() == whole
+
+
+def test_compound_of_order_252_runs_in_chunks():
+    n, k = 10, 5
+    size = math.comb(n, k)
+    assert size * size * k * k > compound._CHUNK_ENTRIES
+    x = random_square(n, 10)
+    got = compound_matrix(x, k)
+    assert got.shape == (size, size)
+    assert got.tobytes() == _one_batch(x, k).tobytes()
+    subsets = list(combinations(range(n), k))
+    for i, j in ((0, 0), (17, 200), (size - 1, size - 1)):
+        minor = np.linalg.det(x[np.ix_(subsets[i], subsets[j])])
+        assert got[i, j] == pytest.approx(minor, rel=1e-12, abs=1e-12)

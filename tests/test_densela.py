@@ -219,6 +219,39 @@ def test_layouts_and_modes_agree_bitwise_on_compounds(m):
     _assert_modes_agree(m)
 
 
+# Orders just below and at the crossover of each mode: the sweeps there run
+# in both layouts, and ``sym_eigen`` switches layout between them.
+_CROSSOVER_ORDERS = sorted(
+    {order + d for order in densela._ROW_LAYOUT_ORDER.values() for d in (-1, 0)}
+)
+
+
+@pytest.mark.parametrize("order", _CROSSOVER_ORDERS)
+def test_layouts_and_modes_agree_bitwise_either_side_of_each_crossover(order):
+    m = random_pd(order, 1.5, order)
+    # One sweep does not converge, so the error text is compared too.
+    assert isinstance(_run_layout(densela._sweep_rows, m, 1, True), str)
+    _assert_layouts_agree(m)
+    _assert_modes_agree(m)
+
+
+def _mass_input(n, seed):
+    """Entries of magnitude 1e-12 to 1e6 of either sign, about a fifth of them +-0.0."""
+    rng = np.random.default_rng(seed)
+    m = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-12.0, 6.0, (n, n))
+    zeros = rng.random((n, n)) < 0.2
+    m[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(_mass_input, st.integers(1, 70), st.integers(0, 10_000)))
+def test_numpy_off_diagonal_mass_is_the_sequential_sum_bitwise(m):
+    n = m.shape[0]
+    got = densela._off_diagonal_mass_of(m[np.triu_indices(n, 1)])
+    assert got.hex() == densela._off_diagonal_mass(m.tolist()).hex()
+
+
 def test_spectrum_only_result_cannot_apply_or_reconstruct():
     e = sym_eigen(random_pd(3, 1.0, 4), vectors=False)
     assert e.q is None

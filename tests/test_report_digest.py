@@ -5,12 +5,16 @@ the means were computed through the per-instance table; any change in
 floating-point evaluation order, error text or serialization moves them.
 The `--cond 4` run covers error strings and NaN margins.  The `dim8` run
 checks every property at n = 8 except P6, the fixed 2x2 pair, and the
-slow P8; the `p8dim8` run checks P8 alone at n = 8, whose compounds of
-order 56 and 70 are the only decompositions that take the numpy row
-layout of the Jacobi sweeps.  From n = 8 on, a cumsum total and `np.sum` round differently
-for about half of random vectors, so it pins the cumsum total as the
-scale of the majorization margins; it was taken before those margins
-moved into `spectra`.
+slow P8.  The `p8dim7` and `p8dim8` runs check P8 alone.  Its compounds
+are the only decompositions that take the numpy row layout of the Jacobi
+sweeps, which starts at order 28 with eigenvectors and at order 56
+without: at n = 7 the order-35 solves with eigenvectors take it and the
+order-21 ones do not; at n = 8 the order-28 solves with eigenvectors and
+every order-56 and order-70 solve take it.  `p8dim7` was taken while
+only orders 56 and 70 took that layout.  From n = 8 on, a cumsum total
+and `np.sum` round differently for about half of random vectors, so
+`dim8` pins the cumsum total as the scale of the majorization margins; it
+was taken before those margins moved into `spectra`.
 """
 
 import hashlib
@@ -35,6 +39,11 @@ PINNED = {
          "--props", "P1,P2,P3,P4,P5,P7,P9,P10,P11,P12,P13,P14,P15"],
         0,
         "e29bb2e31a83431e5d7b1d3966e058ac9eea4b21ada0cf5bab2f40160d9119a6",
+    ),
+    "p8dim7": (
+        ["--seed", "1", "--count", "1", "--dims", "7", "--props", "P8"],
+        0,
+        "c3d0d1a64ec0e9b989d6c43601ad446d55ad04027a72407209ce9668262200ae",
     ),
     "p8dim8": (
         ["--seed", "1", "--count", "1", "--dims", "8", "--props", "P8"],

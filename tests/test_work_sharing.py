@@ -2,10 +2,17 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from matmeans import means, suite
-from matmeans.suite import CampaignConfig, build_instance, evaluate_property, materialize
+from matmeans import densela, means, suite
+from matmeans.suite import (
+    CampaignConfig,
+    InstanceData,
+    build_instance,
+    evaluate_property,
+    materialize,
+)
 
 # Every property that reads the two-matrix power-mean spectra.
 POWER_MEAN_READERS = ("P1", "P2", "P3", "P5", "P12")
@@ -61,3 +68,60 @@ def test_raising_entry_raises_the_same_error_in_every_reader(computed):
     assert len(set(errors.values())) == 1
     assert errors["P1"].startswith("ValueError: power mean aggregate lost positivity")
     assert set(computed.values()) == {1}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(input bytes, vectors) of every ``sym_eigen`` call made by the tables."""
+    calls = []
+
+    def counting(s, max_sweeps=densela.JACOBI_MAX_SWEEPS, vectors=True):
+        calls.append((np.asarray(s).tobytes(), vectors))
+        return densela.sym_eigen(s, max_sweeps, vectors)
+
+    monkeypatch.setattr(means, "sym_eigen", counting)
+    return calls
+
+
+def test_instance_table_decomposes_b_once_with_vectors(solves):
+    data = materialize(suite.InstanceSpec(seed=2, dim=3, cond_exponent=1.0))
+    # P6 and P8 read tables of their own; every other property reads the
+    # instance table, and between them they read B's spectrum, powers and log.
+    for pid in suite.PROPERTY_IDS:
+        if pid not in ("P6", "P8"):
+            assert evaluate_property(pid, data).status == "pass"
+    assert [v for key, v in solves if key == data.b.tobytes()] == [True]
+    assert [v for key, v in solves if key == data.a.tobytes()] == [True]
+
+
+def _with_pair(a, b):
+    spec = suite.InstanceSpec(seed=0, dim=a.shape[0], cond_exponent=1.0)
+    return InstanceData(spec=spec, a=a, b=b, multi=(a,), weights=(1.0,), x_sym=a)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.eye(2), np.diag([1.0, -1.0])),
+        (np.diag([1.0, 0.0]), np.diag([1.0, -1.0])),
+        (np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])),
+        (np.eye(2), np.eye(3)),
+    ],
+)
+def test_instance_table_raises_what_a_fresh_table_raises(a, b):
+    # The instance table decomposes B before anything validates A.
+    with pytest.raises(ValueError) as fresh:
+        means.power_mean_spectrum(a, b, 0.5, 1.0)
+    with pytest.raises(ValueError) as instance:
+        _with_pair(a, b).means.power_mean_spectrum(0.5, 1.0)
+    assert str(instance.value) == str(fresh.value)
+
+
+def test_paper_counterexample_is_computed_once(solves):
+    first = suite.paper_counterexample()
+    solves.clear()
+    assert suite.paper_counterexample() is first
+    assert solves == []
+    fresh = suite.paper_counterexample.__wrapped__()
+    assert [v.hex() for v in first] == [v.hex() for v in fresh]
+    assert len(solves) > 0
