@@ -8,14 +8,9 @@ definiteness validation, and seeded random positive definite generation.
 
 The eigensolver has a spectrum-only mode (``vectors=False``) that skips
 the eigenvector updates; its eigenvalues are the same bits as those of a
-full solve, and the readers that need only eigenvalues use it.  Its
-sweeps run in one of two loop layouts with the same rotation arithmetic:
-nested Python lists for small orders, and numpy rows from
-``_ROW_LAYOUT_ORDER`` on (a lower order with eigenvectors than without),
-where the per-element Python loop costs more than the per-row numpy
-calls.  The row layout keeps the eigenvectors beside the matrix, as the
-rows of ``[A | Q.T]``, and rotates rows p and r of both with the same two
-ufunc calls.  Both layouts give the same bits.
+full solve, and the readers that need only eigenvalues use it.  The
+sweeps rotate nested Python lists, which for the orders the property
+checks solve (at most 2n) cost less than per-row numpy calls.
 
 All operations are pure functions of their inputs.  Returned arrays are
 fresh and inputs are never mutated; the arrays of an
@@ -26,7 +21,6 @@ of :mod:`matmeans.means` share decompositions between their readers.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -174,7 +168,7 @@ def _rotation_plan(n: int) -> tuple[tuple[int, int, bytes], ...]:
     """Cyclic row-by-row order of the (p, r) rotations, each with the other indices.
 
     The other indices are held as bytes, which keeps the plan small enough
-    to cache for every order the list layout sees (orders below 56).
+    to cache for every order solved.
     """
     return tuple(
         (p, r, bytes(k for k in range(n) if k != p and k != r))
@@ -247,79 +241,6 @@ def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int,
                     qk[r] = sn * qkp + c * qkq
 
 
-def _sweep_rows(a_in: np.ndarray, threshold: float, max_sweeps: int,
-                vectors: bool) -> tuple[list[float], np.ndarray | None]:
-    """The sweeps of :func:`_sweep_lists` with rows p and r rotated as numpy vectors.
-
-    The matrix stays exactly symmetric, so row p holds column p: a rotation
-    rotates rows p and r elementwise and copies them into columns p and r,
-    then writes the four entries where they cross as the list layout does.
-    With ``vectors`` the eigenvectors are kept as the rows of q.T beside
-    the matrix, in ``w = [a | q.T]``, so one strided view of rows p and r
-    of ``w`` rotates both in the same two ufunc calls: the products
-    ``c xp, -sn xr, sn xp, c xr`` in one ``multiply``, their pairwise sums
-    in one ``add``.  ``c xp + (-sn) xr`` is ``c xp - sn xr`` bit for bit,
-    so every entry sees the same float operations, in the same order, as
-    in the list layout, and the two layouts agree bit for bit.
-    """
-    n = a_in.shape[0]
-    w = np.hstack((a_in, np.eye(n))) if vectors else a_in.copy()
-    a = w[:, :n]
-    upper = np.triu_indices(n, 1)
-    rotations = tuple(itertools.combinations(range(n), 2))
-    coef = np.empty((2, 2, 1))
-    c_flat = coef.reshape(4)
-    prod = np.empty((2, 2, w.shape[1]))
-    prod_p, prod_r = prod[:, 0], prod[:, 1]
-    thr2 = threshold * threshold
-    sweeps = 0
-    while True:
-        off2 = _off_diagonal_mass_of(a[upper])
-        if off2 <= thr2:
-            return a.diagonal().tolist(), w[:, n:].T if vectors else None
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(math.sqrt(off2), threshold, max_sweeps)
-        sweeps += 1
-        for p, r in rotations:
-            apq = a.item(p, r)
-            if apq == 0.0:
-                continue
-            app = a.item(p, p)
-            arr = a.item(r, r)
-            t, c, sn = _rotation(app, arr, apq)
-            c_flat[0] = c
-            c_flat[1] = -sn
-            c_flat[2] = sn
-            c_flat[3] = c
-            x = w[p:r + 1:r - p]
-            np.multiply(coef, x, out=prod)
-            np.add(prod_p, prod_r, out=x)
-            # Two column copies cost less than one through a transposed view.
-            a[:, p] = x[0, :n]
-            a[:, r] = x[1, :n]
-            a[p, p] = app - t * apq
-            a[r, r] = arr + t * apq
-            a[p, r] = 0.0
-            a[r, p] = 0.0
-
-
-def _off_diagonal_mass_of(upper: np.ndarray) -> float:
-    """:func:`_off_diagonal_mass` of the upper-triangle entries in row-major order.
-
-    ``np.add.accumulate`` adds strictly left to right, as the Python loop
-    does (``np.sum`` would add pairwise), so the two give the same bits.
-    """
-    if upper.size == 0:
-        return 0.0
-    return float(np.add.accumulate(2.0 * upper * upper)[-1])
-
-
-# From these orders on the row layout is the faster one, with and without
-# eigenvectors (measured on a 2-core Xeon with Python 3.11 and numpy 2.4 by
-# scripts/jacobi_layouts.py; see the README's numerical notes).
-_ROW_LAYOUT_ORDER = {True: 28, False: 56}
-
-
 def sym_eigen(
     s, max_sweeps: int = JACOBI_MAX_SWEEPS, vectors: bool = True
 ) -> EigenDecomposition:
@@ -338,8 +259,7 @@ def sym_eigen(
     a_in = require_symmetric(s)
     a_in = (a_in + a_in.T) * 0.5
     threshold = JACOBI_OFF_REL * math.sqrt(float((a_in * a_in).sum()))
-    sweep = _sweep_rows if a_in.shape[0] >= _ROW_LAYOUT_ORDER[vectors] else _sweep_lists
-    diag, q = sweep(a_in, threshold, max_sweeps, vectors)
+    diag, q = _sweep_lists(a_in, threshold, max_sweeps, vectors)
     lam = np.array(diag)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]

@@ -38,18 +38,3 @@ def test_scan_reference_pair_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "lambda2(geometric)    = 1.000000000000" in proc.stdout
     assert out.read_text().startswith("p,j,lambda\n")
-
-
-def test_jacobi_layouts_script():
-    script = ROOT / "scripts" / "jacobi_layouts.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--repeats", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len([ln for ln in lines if ln.startswith(("vectors ", "spectrum "))]) == 18
-    assert sum("rows faster from order" in ln for ln in lines) == 2

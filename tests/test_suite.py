@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from matmeans.densela import random_pd, sym_eigen, symmetrize
 from matmeans.means import (
+    PairTable,
     arithmetic_path,
     cross_term,
     geometric_mean,
     log_euclidean,
     sandwich_mean,
 )
-from matmeans import suite
+from matmeans import densela, means, spectra, suite
 from matmeans.suite import (
     CampaignConfig,
     InstanceData,
@@ -324,3 +325,58 @@ def test_jsonl_lines_roundtrip():
     assert len(lines) == 5
     for ln in lines:
         json.loads(ln)
+
+
+# --- P8 through the Riccati residual -----------------------------------------
+
+
+def test_p8_solves_nothing_above_the_instance_order(monkeypatch):
+    real = densela.sym_eigen
+    orders = []
+
+    def recording(s, max_sweeps=densela.JACOBI_MAX_SWEEPS, vectors=True):
+        orders.append(np.shape(s)[0])
+        return real(s, max_sweeps, vectors)
+
+    for module in (densela, means, spectra, suite):
+        monkeypatch.setattr(module, "sym_eigen", recording)
+    data = materialize(InstanceSpec(seed=1, dim=8, cond_exponent=1.5))
+    assert evaluate_property("P8", data).status == "pass"
+    assert orders and max(orders) <= 8
+
+
+def test_p8_residual_sees_a_perturbed_geometric_mean(monkeypatch):
+    real = PairTable.geometric
+
+    def perturbed(self, t):
+        g = real(self, t)
+        return g + 1e-4 * np.eye(g.shape[0]) if t == 0.5 else g
+
+    class Recording(MarginTracker):
+        def add(self, margin, **where):
+            margins[where["norm_id"]] = margin
+            super().add(margin, **where)
+
+    spec = InstanceSpec(seed=3, dim=5, cond_exponent=1.5)
+    assert evaluate_property("P8", materialize(spec)).status == "pass"
+    monkeypatch.setattr(PairTable, "geometric", perturbed)
+    assert evaluate_property("P8", materialize(spec)).status == "fail"
+    margins = {}
+    suite._p8(materialize(spec), Recording())
+    # Already the plain matrices, k = 1, fail the residual at P8's 1e-7.
+    assert margins["compound:1"] < -1e-6
+
+
+def test_p8_has_no_errors_at_cond_4():
+    rep = run_campaign(
+        CampaignConfig(master_seed=1, count=60, cond_exponent=4.0, properties=("P8",))
+    )
+    assert [r.error for r in rep.results if r.error is not None] == []
+    # The residuals of seeds 7 and 8, a few 1e-6, are the rounding of the
+    # float64 solve itself: cond(C_k(A)) is 4e8 and 7e11 there.
+    assert {r.seed for r in rep.failures} <= {7, 8}
+
+
+def test_p8_runs_at_dimension_10():
+    rep = run_campaign(CampaignConfig(master_seed=1, count=1, dims=(10,), properties=("P8",)))
+    assert [(r.dim, r.status) for r in rep.results] == [(10, "pass")]

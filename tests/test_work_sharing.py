@@ -85,10 +85,10 @@ def solves(monkeypatch):
 
 def test_instance_table_decomposes_b_once_with_vectors(solves):
     data = materialize(suite.InstanceSpec(seed=2, dim=3, cond_exponent=1.0))
-    # P6 and P8 read tables of their own; every other property reads the
-    # instance table, and between them they read B's spectrum, powers and log.
+    # P6 reads a table of its own; every other property reads the instance
+    # table, and between them they read B's spectrum, powers and log.
     for pid in suite.PROPERTY_IDS:
-        if pid not in ("P6", "P8"):
+        if pid != "P6":
             assert evaluate_property(pid, data).status == "pass"
     assert [v for key, v in solves if key == data.b.tobytes()] == [True]
     assert [v for key, v in solves if key == data.a.tobytes()] == [True]
