@@ -1,25 +1,27 @@
 """Two-matrix and multi-matrix means on the positive definite cone.
 
 Every mean is built through the functional calculus of
-:mod:`matmeans.densela`; results are explicitly symmetrized.  Each mean
-that is a spectral transform of one inner aggregate also has a
-``*_spectrum`` companion returning its descending eigenvalues straight
-from the eigenvalues of the aggregate, which the property suite uses to
-avoid a second decomposition of the assembled matrix.  Spectra are solved
-without eigenvectors; only the matrix means accumulate them.
+:mod:`matmeans.densela`; results are explicitly symmetrized.  The power
+mean is implemented once, as the weighted power mean
+(sum_i w_i A_i^p)^{1/p}, which is exp(sum_i w_i log A_i) at p = 0; a pair
+(A, B) takes weights (1-t, t), and its log-Euclidean mean is p = 0.  Each
+mean that is a spectral transform of one aggregate also has a
+``*_spectrum`` companion: its descending eigenvalues, from a spectrum-only
+solve of the aggregate.
 
-The means are computed by two tables, :class:`PairTable` for a pair
-(A, B) and :class:`MultiTable` for weighted matrices A_1..A_m.  A table
-validates its matrices once and computes each decomposition, power, mean
-and spectrum once, on first use.  The property suite keeps one table per
-instance; each public function checks its scalar arguments and reads one
-entry of a fresh table.
+:class:`PairTable` (a pair A, B) and :class:`MultiTable` (weighted
+A_1..A_m) compute the means.  Each matrix of a table is decomposed once,
+with eigenvectors, and that decomposition validates it and gives its
+powers and logarithm; every mean and spectrum is computed once, on first
+use.  The property suite keeps one table per instance; each public
+function checks its scalar arguments and reads one entry of a fresh table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +33,7 @@ from .densela import (
     pd_power,
     require_pd_eigen,
     require_symmetric,
+    singular_values,
     sym_eigen,
     symmetrize,
 )
@@ -102,6 +105,24 @@ def _require_positive_spectrum(e: EigenDecomposition, what: str) -> None:
         raise ValueError(f"{what} lost positivity (smallest eigenvalue {e.lam[-1]:.6e})")
 
 
+def _root(agg: np.ndarray, p: float, what: str) -> np.ndarray:
+    """agg^{1/p} of an aggregate that must be positive definite; exp(agg) at p = 0."""
+    e = sym_eigen(agg)
+    if p == 0.0:
+        return e.apply(math.exp)
+    _require_positive_spectrum(e, what)
+    return e.apply(lambda x: x ** (1.0 / p))
+
+
+def _root_spectrum(agg: np.ndarray, p: float, what: str) -> np.ndarray:
+    """Descending eigenvalues of ``_root(agg, p, what)``, from a spectrum-only solve."""
+    e = sym_eigen(agg, vectors=False)
+    if p == 0.0:
+        return np.exp(e.lam)
+    _require_positive_spectrum(e, what)
+    return np.sort(e.lam ** (1.0 / p))[::-1]
+
+
 def _entry(method):
     """A table entry: computed on its first read for given arguments, then reused.
 
@@ -130,11 +151,11 @@ def _entry(method):
 
 
 class _Factored:
-    """Matrices with their decompositions, powers and logarithms as table entries.
+    """Matrices with their decompositions, powers, logarithms and weighted sums.
 
-    Matrix i is decomposed once; ``power`` and ``log`` apply the functional
-    calculus to that decomposition with the checks of ``pd_power`` and
-    ``pd_log``.
+    Matrix i is decomposed once, with eigenvectors, for its validation, its
+    powers and its logarithm; ``power`` and ``log`` have the checks of
+    ``pd_power`` and ``pd_log``.
     """
 
     def __init__(self, mats: Sequence):
@@ -150,21 +171,21 @@ class _Factored:
         return pd_power(self.eig(i), p)
 
     @_entry
-    def spectrum(self, i: int) -> EigenDecomposition:
-        """The eigenvalues of matrix i: its decomposition if the table has one,
-        otherwise a spectrum-only solve."""
-        if ("eig", i) in self._memo:
-            return self.eig(i)
-        return sym_eigen(self._mats[i], vectors=False)
-
-    @_entry
     def log(self, i: int) -> np.ndarray:
         return pd_log(self.eig(i))
 
-    def _require_pd(self, i: int, name: str, decompose) -> np.ndarray:
-        """``require_pd`` of matrix i, on ``decompose(i)``: ``eig`` or ``spectrum``."""
+    @_entry
+    def _aggregate(self, weights: tuple[float, ...], p: float) -> np.ndarray:
+        """sum_i w_i A_i^p (sum_i w_i log A_i at p = 0), added in index order from
+        the first term, not from 0, so a pair's sum is the expression (1-t) X + t Y."""
+        term = self.log if p == 0.0 else (lambda i: self.power(i, p))
+        terms = (w * term(i) for i, w in enumerate(weights))
+        return symmetrize(functools.reduce(operator.add, terms))
+
+    def _require_pd(self, i: int, name: str) -> np.ndarray:
+        """``require_pd`` of matrix i, on its decomposition ``eig(i)``."""
         m = require_symmetric(self._mats[i], name)
-        require_pd_eigen(decompose(i), name)
+        require_pd_eigen(self.eig(i), name)
         return m
 
 
@@ -174,21 +195,20 @@ class PairTable(_Factored):
     Matrix 0 is A and matrix 1 is B.  The means validate A and B as strictly
     positive definite before anything else, once per table, and raise what
     the public functions raise.  The weight t is not checked here; the
-    public functions check it.
+    public functions check it.  The power mean is the weighted power mean
+    with weights (1-t, t), and the log-Euclidean mean is its p = 0.
     """
+
+    _AGGREGATE = "power mean aggregate"  # named in the positivity error, which reports pin
 
     def __init__(self, a, b):
         super().__init__((a, b))
 
     @_entry
     def checked(self) -> tuple[np.ndarray, np.ndarray]:
-        """A and B validated as by ``require_pd``, with equal shapes.
-
-        Every mean but the arithmetic path decomposes A with eigenvectors,
-        so A is validated on that decomposition; B only needs its spectrum.
-        """
-        am = self._require_pd(0, "a", self.eig)
-        bm = self._require_pd(1, "b", self.spectrum)
+        """A and B validated as by ``require_pd``, with equal shapes."""
+        am = self._require_pd(0, "a")
+        bm = self._require_pd(1, "b")
         if am.shape != bm.shape:
             raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
         return am, bm
@@ -205,12 +225,6 @@ class PairTable(_Factored):
         if t == 1.0:
             return 1
         return None
-
-    def _end_matrix(self, end: int) -> np.ndarray:
-        return self.checked()[end].copy()
-
-    def _end_spectrum(self, end: int) -> np.ndarray:
-        return np.array(self.spectrum(end).lam)
 
     @_entry
     def _congruence(self) -> tuple[np.ndarray, EigenDecomposition]:
@@ -231,48 +245,24 @@ class PairTable(_Factored):
         return np.array(sym_eigen(self.geometric(t), vectors=False).lam)
 
     @_entry
-    def _log_aggregate(self, t: float) -> np.ndarray:
-        return symmetrize((1.0 - t) * self.log(0) + t * self.log(1))
-
-    @_entry
-    def log_euclidean(self, t: float) -> np.ndarray:
-        end = self._end(t)
-        if end is not None:
-            return self._end_matrix(end)
-        return sym_eigen(self._log_aggregate(t)).apply(math.exp)
-
-    @_entry
-    def log_euclidean_spectrum(self, t: float) -> np.ndarray:
-        end = self._end(t)
-        if end is not None:
-            return self._end_spectrum(end)
-        return np.exp(sym_eigen(self._log_aggregate(t), vectors=False).lam)
-
-    @_entry
-    def _power_aggregate(self, t: float, p: float) -> np.ndarray:
-        return symmetrize((1.0 - t) * self.power(0, p) + t * self.power(1, p))
-
-    @_entry
     def power_mean(self, t: float, p: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
-            return self._end_matrix(end)
-        if p == 0.0:
-            return self.log_euclidean(t)
-        e = sym_eigen(self._power_aggregate(t, p))
-        _require_positive_spectrum(e, "power mean aggregate")
-        return e.apply(lambda x: x ** (1.0 / p))
+            return self.checked()[end].copy()
+        return _root(self._aggregate((1.0 - t, t), p), p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, t: float, p: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
-            return self._end_spectrum(end)
-        if p == 0.0:
-            return self.log_euclidean_spectrum(t)
-        e = sym_eigen(self._power_aggregate(t, p), vectors=False)
-        _require_positive_spectrum(e, "power mean aggregate")
-        return np.sort(e.lam ** (1.0 / p))[::-1]
+            return np.array(self.eig(end).lam)
+        return _root_spectrum(self._aggregate((1.0 - t, t), p), p, self._AGGREGATE)
+
+    def log_euclidean(self, t: float) -> np.ndarray:
+        return self.power_mean(t, 0.0)
+
+    def log_euclidean_spectrum(self, t: float) -> np.ndarray:
+        return self.power_mean_spectrum(t, 0.0)
 
     @_entry
     def arithmetic(self, t: float) -> np.ndarray:
@@ -306,28 +296,29 @@ class PairTable(_Factored):
         _check_sandwich_p(p)
         end = self._end(t)
         if end is not None:
-            return self._end_matrix(end)
-        e = sym_eigen(self._sandwich_aggregate(t, p))
-        _require_positive_spectrum(e, "sandwich aggregate")
-        return e.apply(lambda x: x ** (1.0 / p))
+            return self.checked()[end].copy()
+        return _root(self._sandwich_aggregate(t, p), p, "sandwich aggregate")
 
     @_entry
     def sandwich_mean_spectrum(self, t: float, p: float) -> np.ndarray:
         _check_sandwich_p(p)
         end = self._end(t)
         if end is not None:
-            return self._end_spectrum(end)
+            return np.array(self.eig(end).lam)
         if self._sandwich_range_log10(t, p) > _SANDWICH_RANGE_LOG10_LIMIT:
             return self._sandwich_spectrum_via_factor(t, p)
-        e = sym_eigen(self._sandwich_aggregate(t, p), vectors=False)
-        _require_positive_spectrum(e, "sandwich aggregate")
-        return e.lam ** (1.0 / p)
+        return _root_spectrum(self._sandwich_aggregate(t, p), p, "sandwich aggregate")
 
     @_entry
     def cross(self, t: float) -> np.ndarray:
         """The generally non-symmetric product A^{1-t} B^t."""
         self.checked()
         return self.power(0, 1.0 - t) @ self.power(1, t)
+
+    @_entry
+    def cross_singular_values(self, t: float) -> np.ndarray:
+        """Descending singular values of the cross term A^{1-t} B^t."""
+        return singular_values(self.cross(t))
 
     @_entry
     def product_spectrum(self, t: float, p: float) -> np.ndarray:
@@ -341,11 +332,13 @@ class PairTable(_Factored):
 
 
 class MultiTable(_Factored):
-    """Power means of weighted matrices A_1..A_m, each computed once on first use.
+    """Weighted power means of matrices A_1..A_m, each computed once on first use.
 
     The means validate the weights and every matrix before anything else,
     once per table, and raise what the public functions raise.
     """
+
+    _AGGREGATE = "multi power mean aggregate"  # as in PairTable
 
     def __init__(self, mats: Sequence, weights):
         super().__init__(mats)
@@ -355,7 +348,7 @@ class MultiTable(_Factored):
     def checked(self) -> WeightVector:
         """The weights, with every matrix validated as by ``require_pd``."""
         w = WeightVector.coerce(self._weights)
-        ms = [self._require_pd(i, f"matrix {i}", self.eig) for i in range(len(self._mats))]
+        ms = [self._require_pd(i, f"matrix {i}") for i in range(len(self._mats))]
         if len(ms) != len(w):
             raise ValueError(f"{len(ms)} matrices but {len(w)} weights")
         shape = ms[0].shape
@@ -365,37 +358,20 @@ class MultiTable(_Factored):
         return w
 
     @_entry
-    def _aggregate(self, p: float) -> np.ndarray:
-        """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0."""
-        alphas = self.checked().alphas
-        if p == 0.0:
-            return symmetrize(sum(alpha * self.log(i) for i, alpha in enumerate(alphas)))
-        return symmetrize(sum(alpha * self.power(i, p) for i, alpha in enumerate(alphas)))
-
-    @_entry
     def power_mean(self, p: float) -> np.ndarray:
-        e = sym_eigen(self._aggregate(p))
-        if p == 0.0:
-            return e.apply(math.exp)
-        _require_positive_spectrum(e, "multi power mean aggregate")
-        return e.apply(lambda x: x ** (1.0 / p))
+        return _root(self._aggregate(self.checked().alphas, p), p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, p: float) -> np.ndarray:
-        e = sym_eigen(self._aggregate(p), vectors=False)
-        if p == 0.0:
-            return np.exp(e.lam)
-        _require_positive_spectrum(e, "multi power mean aggregate")
-        return np.sort(e.lam ** (1.0 / p))[::-1]
+        return _root_spectrum(self._aggregate(self.checked().alphas, p), p, self._AGGREGATE)
 
     @_entry
     def power_sum_spectrum(self, p: float) -> np.ndarray:
-        """Descending eigenvalues of the unweighted sum of the A_i^p.
+        """Descending eigenvalues of sum_i A_i^p (sum_i log A_i at p = 0).
 
         Only the powers are checked, as ``pd_power`` checks them.
         """
-        m = symmetrize(sum(self.power(i, p) for i in range(len(self._mats))))
-        return sym_eigen(m, vectors=False).lam
+        return sym_eigen(self._aggregate((1.0,) * len(self._mats), p), vectors=False).lam
 
 
 # ---------------------------------------------------------------------------

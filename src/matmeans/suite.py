@@ -155,16 +155,7 @@ class InstanceData:
 
     @functools.cached_property
     def means(self) -> PairTable:
-        # The properties read B's powers and logarithm, so B is decomposed
-        # with eigenvectors first; ``checked`` then validates B from that
-        # decomposition instead of a second, spectrum-only solve.  An error
-        # stays in the entry and is raised, after A's, by the first reader.
-        table = PairTable(self.a, self.b)
-        try:
-            table.eig(1)
-        except Exception:
-            pass
-        return table
+        return PairTable(self.a, self.b)
 
     @functools.cached_property
     def multi_means(self) -> MultiTable:
@@ -353,7 +344,7 @@ def _p4(data: InstanceData, tr: MarginTracker) -> None:
             means.log_euclidean_spectrum(t),
             means.sandwich_mean_spectrum(t, 1.0),
             _abs_eig_spectrum(symmetrize(x)),
-            singular_values(x),
+            means.cross_singular_values(t),
             eigenvalues_desc(means.arithmetic(t)),
         ]
         for lhs, rhs in zip(chain, chain[1:]):
@@ -407,7 +398,7 @@ def _p7(data: InstanceData, tr: MarginTracker) -> None:
     ld_geo = float(np.sum(np.log(s_geo)))
     ld_ab = 0.5 * float(np.sum(np.log(means.eig(0).lam)) + np.sum(np.log(means.eig(1).lam)))
     tr.compare("eq", ld_geo, ld_ab, "logdet", t=0.5)
-    root_product_trace = float(np.trace(means.power(0, 0.5) @ means.power(1, 0.5)))
+    root_product_trace = float(np.trace(means.cross(0.5)))
     tr.compare("leq", float(np.sum(s_geo)), root_product_trace, "trace", t=0.5)
 
 
@@ -468,7 +459,7 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
     """Block positivity certificates; geometric mean vs the root product."""
     a, b, means = data.a, data.b, data.means
     g = means.geometric(0.5)
-    w = means.power(0, 0.5) @ means.power(1, 0.5)
+    w = means.cross(0.5)
     for label, block in (
         ("block-geo", np.block([[a, g], [g, b]])),
         ("block-root", np.block([[a, w], [w.T, b]])),
@@ -476,7 +467,7 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
         lam = sym_eigen(symmetrize(block), vectors=False).lam
         scale = 1.0 + float(np.max(np.abs(lam)))
         tr.add(float(lam[-1]) / scale, norm_id=f"{label}:minlam", lhs=float(lam[-1]), rhs=0.0)
-    tr.compare("KyFan", means.geometric_spectrum(0.5), singular_values(w))
+    tr.compare("KyFan", means.geometric_spectrum(0.5), means.cross_singular_values(0.5))
 
 
 def _p12(data: InstanceData, tr: MarginTracker) -> None:
@@ -489,7 +480,7 @@ def _p12(data: InstanceData, tr: MarginTracker) -> None:
 
     ra = means.power(0, 0.5)
     rb = means.power(1, 0.5)
-    s_roots = singular_values(ra @ rb)
+    s_roots = means.cross_singular_values(0.5)
     s_avg_sq = eigenvalues_desc(symmetrize((ra + rb) * 0.5)) ** 2
     tr.compare("KyFan", s_roots, s_avg_sq)
     for p in (pp for pp in spec.p_grid if pp >= 0.5):
@@ -646,6 +637,8 @@ class CampaignConfig:
             raise ValueError("at least one dimension is required")
         if min(self.dims) < 2:
             raise ValueError(f"dimensions must be >= 2, got {list(self.dims)}")
+        if not self.m_values or min(self.m_values) < 1:
+            raise ValueError(f"matrix counts must be nonempty and >= 1, got {list(self.m_values)}")
         _check_grids(self.cond_exponent, self.t_values, self.p_grid)
         _require_nonnegative("tolerance", self.tolerance)
 

@@ -5,6 +5,8 @@ import pytest
 
 from matmeans.densela import pd_power, random_pd, sym_eigen, symmetrize
 from matmeans.means import (
+    MultiTable,
+    PairTable,
     WeightVector,
     arithmetic_path,
     cross_term,
@@ -19,7 +21,7 @@ from matmeans.means import (
     sandwich_mean_spectrum,
 )
 from matmeans.spectra import eigenvalues_desc
-from matmeans.suite import paper_pair
+from matmeans.suite import DEFAULT_P_GRID, paper_pair
 
 
 # Scalar oracles for commuting inputs.
@@ -276,6 +278,21 @@ def test_multi_spectrum_matches_matrix():
         s = power_mean_multi_spectrum(mats, w, p)
         lam = eigenvalues_desc(power_mean_multi(mats, w, p))
         assert np.max(np.abs(s - lam) / (1.0 + np.abs(lam))) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+def test_pair_power_mean_is_the_weighted_family_bitwise(t):
+    # The two-matrix power mean is the weighted power mean with weights
+    # (1-t, t), and the log-Euclidean mean is its p = 0: the same bits.
+    a = random_pd(4, 1.5, 81)
+    b = random_pd(4, 1.5, 82)
+    for p in DEFAULT_P_GRID:
+        pair = PairTable(a, b)
+        multi = MultiTable((a, b), (1.0 - t, t))
+        assert pair.power_mean_spectrum(t, p).tobytes() == multi.power_mean_spectrum(p).tobytes()
+        assert pair.power_mean(t, p).tobytes() == multi.power_mean(p).tobytes()
+    le = PairTable(a, b).log_euclidean(t)
+    assert le.tobytes() == PairTable(a, b).power_mean(t, 0.0).tobytes()
 
 
 def test_multi_validation_errors():

@@ -293,6 +293,10 @@ def test_config_validation():
         CampaignConfig(master_seed=-1)
     with pytest.raises(ValueError):
         CampaignConfig(count=-2)
+    for m_values in ((), (0,), (2, -1)):
+        for count in (0, 100):
+            with pytest.raises(ValueError, match="matrix counts must be nonempty and >= 1"):
+                CampaignConfig(count=count, m_values=m_values)
 
 
 def test_config_rejects_repeated_property_ids():

@@ -109,12 +109,34 @@ def _with_pair(a, b):
     ],
 )
 def test_instance_table_raises_what_a_fresh_table_raises(a, b):
-    # The instance table decomposes B before anything validates A.
+    # The instance table is a plain table: it validates A, then B, as a fresh one does.
     with pytest.raises(ValueError) as fresh:
         means.power_mean_spectrum(a, b, 0.5, 1.0)
     with pytest.raises(ValueError) as instance:
         _with_pair(a, b).means.power_mean_spectrum(0.5, 1.0)
     assert str(instance.value) == str(fresh.value)
+
+
+def _each_matrix_solved_once_with_vectors(solves, *mats):
+    assert len({key for key, _ in solves}) == len(solves)
+    for m in mats:
+        assert [v for key, v in solves if key == m.tobytes()] == [True]
+
+
+def test_paper_counterexample_decomposes_each_matrix_once(solves):
+    suite.paper_counterexample.__wrapped__()
+    # A, B, the congruence A^-1/2 B A^-1/2, G and the log-Euclidean aggregate.
+    assert len(solves) == 5
+    _each_matrix_solved_once_with_vectors(solves, *suite.paper_pair())
+
+
+def test_geometric_mean_decomposes_each_matrix_once(solves):
+    a = densela.random_pd(4, 1.5, 91)
+    b = densela.random_pd(4, 1.5, 92)
+    means.geometric_mean(a, b, 0.25)
+    # A, B and the congruence A^-1/2 B A^-1/2.
+    assert len(solves) == 3
+    _each_matrix_solved_once_with_vectors(solves, a, b)
 
 
 def test_paper_counterexample_is_computed_once(solves):
