@@ -11,6 +11,11 @@ the eigenvector updates; its eigenvalues are the same bits as those of a
 full solve, and the readers that need only eigenvalues use it.  The
 sweeps rotate nested Python lists, which for the orders the property
 checks solve (at most 2n) cost less than per-row numpy calls.
+:func:`sym_eigen_batch` runs the spectrum-only mode over a stack of
+matrices of one order, one rotation of every matrix per group of numpy
+calls, and returns each matrix's eigenvalues with the bits of
+``sym_eigen``; it loops over ``sym_eigen`` for stacks too small to repay
+the fixed cost of a batched rotation.
 
 All operations are pure functions of their inputs.  Returned arrays are
 fresh and inputs are never mutated; the arrays of an
@@ -38,6 +43,7 @@ __all__ = [
     "require_symmetric",
     "symmetrize",
     "sym_eigen",
+    "sym_eigen_batch",
     "pd_power",
     "pd_log",
     "sym_exp",
@@ -269,6 +275,143 @@ def sym_eigen(
     qm = np.asarray(q)[:, order]
     qm.setflags(write=False)
     return EigenDecomposition(q=qm, lam=lam)
+
+
+# Below this many matrices sym_eigen_batch loops over sym_eigen: a batched
+# rotation costs a fixed ~30 numpy calls whatever the stack size, which a
+# small stack does not repay.  On 2 vCPUs, stacks of order 2-8 ran at
+# 0.35-0.8x the speed of the loop with 8 matrices, 0.7-1.1x with 16,
+# 1.1-1.5x with 32 and 1.7-3.5x with 128.
+_BATCH_MIN = 32
+
+
+def sym_eigen_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
+    """Spectrum-only :func:`sym_eigen` of every matrix in a stack of one order.
+
+    Entry i is ``sym_eigen(mats[i], max_sweeps, vectors=False)`` bit for
+    bit, or the exception that call raises (a ``ValueError`` from
+    validation or a :class:`JacobiConvergenceError`), so one bad member
+    leaves the others untouched.  Each matrix runs the cyclic plan of
+    ``_sweep_lists`` with the same floating-point operations in the same
+    order, vectorised across the stack: the matrix stays exactly symmetric,
+    so rows p and r are rotated once and copied into columns p and r; the
+    off-diagonal mass is summed sequentially, as the list code sums it;
+    ``math.hypot`` is taken per element, because ``np.hypot`` rounds
+    differently; a rotation with a zero pivot keeps the old values, as the
+    list code skips it; and each matrix leaves the stack at its own
+    threshold.  Stacks smaller than ``_BATCH_MIN`` loop over ``sym_eigen``.
+    """
+    mats = list(mats)
+    if len(mats) < _BATCH_MIN:
+        return [_try_sym_eigen(m, max_sweeps) for m in mats]
+    stack = np.asarray(mats, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    out: list = [None] * len(mats)
+    with np.errstate(invalid="ignore"):
+        peak = np.abs(stack).max(axis=(1, 2))
+        defect = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = ~np.isfinite(stack).all(axis=(1, 2)) | (defect > SYM_REL_TOL * (1.0 + peak))
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = _try_sym_eigen(mats[i], max_sweeps)
+    idx = np.flatnonzero(~bad)
+    a = stack[idx]
+    a = (a + a.transpose(0, 2, 1)) * 0.5
+    thr = JACOBI_OFF_REL * np.sqrt((a * a).reshape(len(idx), -1).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, e in zip(idx.tolist(), _sweep_stack(a, thr, max_sweeps)):
+            out[i] = e
+    return out
+
+
+def _try_sym_eigen(m, max_sweeps: int):
+    try:
+        return sym_eigen(m, max_sweeps, vectors=False)
+    except (ValueError, JacobiConvergenceError) as exc:
+        return exc
+
+
+_hypot1 = functools.partial(math.hypot, 1.0)
+
+
+def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int) -> list:
+    """``_sweep_lists`` without vectors on a stack of symmetric matrices.
+
+    Returns, per matrix, its spectrum-only decomposition or its
+    :class:`JacobiConvergenceError`.  ``a`` is rotated in place.
+    """
+    out: list = [None] * a.shape[0]
+    iu, ju = np.triu_indices(a.shape[1], 1)
+    rotations = _rotation_plan(a.shape[1])
+    thr2 = threshold * threshold
+    active = np.arange(a.shape[0])  # the original index of each matrix left
+    sweeps = 0
+    while True:
+        u = a[:, iu, ju]
+        off2 = np.add.accumulate(2.0 * u * u, axis=1)[:, -1] if iu.size else np.zeros(u.shape[0])
+        done = off2 <= thr2
+        for j in np.flatnonzero(done).tolist():
+            out[active[j]] = _sorted_spectrum(a[j].diagonal().copy())
+        if sweeps >= max_sweeps:
+            for j in np.flatnonzero(~done).tolist():
+                i = active[j]
+                out[i] = JacobiConvergenceError(math.sqrt(off2[j]), float(threshold[i]), max_sweeps)
+            return out
+        if done.any():
+            a, thr2, active = a[~done], thr2[~done], active[~done]
+            if not active.size:
+                return out
+        sweeps += 1
+        for p, r, _ in rotations:
+            _rotate_stack(a, p, r)
+
+
+def _rotate_stack(a: np.ndarray, p: int, r: int) -> None:
+    """One Jacobi rotation (p, r) of every matrix in the stack, as ``_sweep_lists``.
+
+    Every value is computed from views of ``a`` before the first write.
+    """
+    app = a[:, p, p]
+    arr = a[:, r, r]
+    apq = a[:, p, r]
+    theta = (arr - app) / (2.0 * apq)
+    t = 1.0 / (np.abs(theta) + np.fromiter(map(_hypot1, theta.tolist()), float, theta.size))
+    np.negative(t, out=t, where=theta < 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    sn = t * c
+    tapq = t * apq
+    app_new = app - tapq
+    arr_new = arr + tapq
+    xp = a[:, p]
+    xr = a[:, r]
+    c = c[:, None]
+    sn = sn[:, None]
+    vp = c * xp - sn * xr
+    vq = sn * xp + c * xr
+    pivot = apq != 0.0
+    apq_new = 0.0
+    if not pivot.all():
+        # The list code skips a zero pivot: keep those matrices as they are.
+        keep = ~pivot
+        vp[keep] = xp[keep]
+        vq[keep] = xr[keep]
+        app_new[keep] = app[keep]
+        arr_new[keep] = arr[keep]
+        apq_new = np.where(pivot, 0.0, apq)
+    a[:, p] = vp
+    a[:, r] = vq
+    a[:, :, p] = vp
+    a[:, :, r] = vq
+    a[:, p, p] = app_new
+    a[:, r, r] = arr_new
+    a[:, p, r] = apq_new
+    a[:, r, p] = apq_new
+
+
+def _sorted_spectrum(diag: np.ndarray) -> EigenDecomposition:
+    lam = diag[np.argsort(-diag, kind="stable")]
+    lam.setflags(write=False)
+    return EigenDecomposition(q=None, lam=lam)
 
 
 def _pd_eigs_ok(lam: np.ndarray) -> bool:

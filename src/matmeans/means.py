@@ -15,6 +15,13 @@ with eigenvectors, and that decomposition validates it and gives its
 powers and logarithm; every mean and spectrum is computed once, on first
 use.  The property suite keeps one table per instance; each public
 function checks its scalar arguments and reads one entry of a fresh table.
+
+Every spectrum-only solve of a table matrix is a read of one entry,
+``spectrum(name, *args)``, named after the method that builds the matrix.
+:func:`prefill` builds many such matrices ahead of their reads, solves
+them by order with ``sym_eigen_batch`` and stores each result, or error,
+where its read would store it; the reads stay as they are and return the
+same bits.
 """
 
 from __future__ import annotations
@@ -29,12 +36,13 @@ import numpy as np
 
 from .densela import (
     EigenDecomposition,
+    as_square_matrix,
     pd_log,
     pd_power,
     require_pd_eigen,
     require_symmetric,
-    singular_values,
     sym_eigen,
+    sym_eigen_batch,
     symmetrize,
 )
 
@@ -53,6 +61,7 @@ __all__ = [
     "cross_term",
     "power_mean_multi",
     "power_mean_multi_spectrum",
+    "prefill",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -100,9 +109,9 @@ def _check_sandwich_p(p: float) -> None:
         raise ValueError(f"sandwich mean requires p > 0, got {p!r}")
 
 
-def _require_positive_spectrum(e: EigenDecomposition, what: str) -> None:
-    if float(e.lam[-1]) <= 0.0:
-        raise ValueError(f"{what} lost positivity (smallest eigenvalue {e.lam[-1]:.6e})")
+def _require_positive_spectrum(lam: np.ndarray, what: str) -> None:
+    if float(lam[-1]) <= 0.0:
+        raise ValueError(f"{what} lost positivity (smallest eigenvalue {lam[-1]:.6e})")
 
 
 def _root(agg: np.ndarray, p: float, what: str) -> np.ndarray:
@@ -110,17 +119,16 @@ def _root(agg: np.ndarray, p: float, what: str) -> np.ndarray:
     e = sym_eigen(agg)
     if p == 0.0:
         return e.apply(math.exp)
-    _require_positive_spectrum(e, what)
+    _require_positive_spectrum(e.lam, what)
     return e.apply(lambda x: x ** (1.0 / p))
 
 
-def _root_spectrum(agg: np.ndarray, p: float, what: str) -> np.ndarray:
-    """Descending eigenvalues of ``_root(agg, p, what)``, from a spectrum-only solve."""
-    e = sym_eigen(agg, vectors=False)
+def _root_spectrum(lam: np.ndarray, p: float, what: str) -> np.ndarray:
+    """Descending eigenvalues of ``_root(agg, p, what)`` from the spectrum ``lam`` of agg."""
     if p == 0.0:
-        return np.exp(e.lam)
-    _require_positive_spectrum(e, what)
-    return np.sort(e.lam ** (1.0 / p))[::-1]
+        return np.exp(lam)
+    _require_positive_spectrum(lam, what)
+    return np.sort(lam ** (1.0 / p))[::-1]
 
 
 def _entry(method):
@@ -182,6 +190,15 @@ class _Factored:
         terms = (w * term(i) for i, w in enumerate(weights))
         return symmetrize(functools.reduce(operator.add, terms))
 
+    @_entry
+    def spectrum(self, name: str, *args) -> np.ndarray:
+        """Descending eigenvalues of the table matrix ``getattr(self, name)(*args)``.
+
+        Every spectrum-only solve of a table matrix is a read of this entry,
+        so :func:`prefill` can solve many of them in one batch beforehand.
+        """
+        return sym_eigen(getattr(self, name)(*args), vectors=False).lam
+
     def _require_pd(self, i: int, name: str) -> np.ndarray:
         """``require_pd`` of matrix i, on its decomposition ``eig(i)``."""
         m = require_symmetric(self._mats[i], name)
@@ -242,21 +259,25 @@ class PairTable(_Factored):
 
     @_entry
     def geometric_spectrum(self, t: float) -> np.ndarray:
-        return np.array(sym_eigen(self.geometric(t), vectors=False).lam)
+        return np.array(self.spectrum("geometric", t))
+
+    def power_aggregate(self, t: float, p: float) -> np.ndarray:
+        """(1-t) A^p + t B^p, or (1-t) log A + t log B at p = 0."""
+        return self._aggregate((1.0 - t, t), p)
 
     @_entry
     def power_mean(self, t: float, p: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
             return self.checked()[end].copy()
-        return _root(self._aggregate((1.0 - t, t), p), p, self._AGGREGATE)
+        return _root(self.power_aggregate(t, p), p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, t: float, p: float) -> np.ndarray:
         end = self._end(t)
         if end is not None:
             return np.array(self.eig(end).lam)
-        return _root_spectrum(self._aggregate((1.0 - t, t), p), p, self._AGGREGATE)
+        return _root_spectrum(self.spectrum("power_aggregate", t, p), p, self._AGGREGATE)
 
     def log_euclidean(self, t: float) -> np.ndarray:
         return self.power_mean(t, 0.0)
@@ -270,26 +291,40 @@ class PairTable(_Factored):
         return symmetrize((1.0 - t) * am + t * bm)
 
     @_entry
+    def arithmetic_spectrum(self, t: float) -> np.ndarray:
+        end = self._end(t)
+        if end is not None:
+            return self.eig(end).lam
+        return self.spectrum("arithmetic", t)
+
+    @_entry
     def _sandwich_aggregate(self, t: float, p: float) -> np.ndarray:
         bt = self.power(1, t * p / 2.0)
         return symmetrize(bt @ self.power(0, (1.0 - t) * p) @ bt)
 
-    def _sandwich_range_log10(self, t: float, p: float) -> float:
+    def _sandwich_via_factor(self, t: float, p: float) -> bool:
+        """Whether the eigenvalue range of the sandwich aggregate is past the limit."""
         la = self.eig(0).lam
         lb = self.eig(1).lam
         return abs((1.0 - t) * p) * math.log10(float(la[0] / la[-1])) + abs(
             t * p
-        ) * math.log10(float(lb[0] / lb[-1]))
+        ) * math.log10(float(lb[0] / lb[-1])) > _SANDWICH_RANGE_LOG10_LIMIT
 
-    def _sandwich_spectrum_via_factor(self, t: float, p: float) -> np.ndarray:
-        # Eigenvalues of B^{tp/2} A^{(1-t)p} B^{tp/2} are the squared singular
-        # values of H = B^{tp/2} A^{(1-t)p/2}, read off the symmetric block
-        # matrix [[0, H], [H.T, 0]] whose spectrum is (+sigma, -sigma).
+    def sandwich_matrix(self, t: float, p: float) -> np.ndarray:
+        """The matrix whose spectrum gives ``sandwich_mean_spectrum(t, p)``.
+
+        It is the sandwich aggregate, or past the range limit the block
+        matrix [[0, H], [H.T, 0]] of H = B^{tp/2} A^{(1-t)p/2}: its spectrum
+        is (+sigma, -sigma), and the squared singular values sigma^2 of H
+        are the eigenvalues of the aggregate.
+        """
+        self.checked()  # as every reader does; the range needs positive spectra
+        if not self._sandwich_via_factor(t, p):
+            return self._sandwich_aggregate(t, p)
         h = self.power(1, t * p / 2.0) @ self.power(0, (1.0 - t) * p / 2.0)
         n = h.shape[0]
         z = np.zeros((n, n))
-        sv = sym_eigen(np.block([[z, h], [h.T, z]]), vectors=False).lam[:n]
-        return sv ** (2.0 / p)
+        return np.block([[z, h], [h.T, z]])
 
     @_entry
     def sandwich_mean(self, t: float, p: float) -> np.ndarray:
@@ -305,9 +340,10 @@ class PairTable(_Factored):
         end = self._end(t)
         if end is not None:
             return np.array(self.eig(end).lam)
-        if self._sandwich_range_log10(t, p) > _SANDWICH_RANGE_LOG10_LIMIT:
-            return self._sandwich_spectrum_via_factor(t, p)
-        return _root_spectrum(self._sandwich_aggregate(t, p), p, "sandwich aggregate")
+        lam = self.spectrum("sandwich_matrix", t, p)
+        if self._sandwich_via_factor(t, p):
+            return lam[: self.eig(0).n] ** (2.0 / p)
+        return _root_spectrum(lam, p, "sandwich aggregate")
 
     @_entry
     def cross(self, t: float) -> np.ndarray:
@@ -315,20 +351,42 @@ class PairTable(_Factored):
         self.checked()
         return self.power(0, 1.0 - t) @ self.power(1, t)
 
+    def cross_sym(self, t: float) -> np.ndarray:
+        """The symmetric part of the cross term A^{1-t} B^t."""
+        return symmetrize(self.cross(t))
+
+    def cross_gram(self, t: float) -> np.ndarray:
+        """X^T X of the cross term X, formed as ``singular_values`` forms it."""
+        x = as_square_matrix(self.cross(t))
+        g = x.T @ x
+        return (g + g.T) * 0.5
+
     @_entry
     def cross_singular_values(self, t: float) -> np.ndarray:
-        """Descending singular values of the cross term A^{1-t} B^t."""
-        return singular_values(self.cross(t))
+        """Descending singular values of the cross term A^{1-t} B^t, as ``singular_values``."""
+        return np.sqrt(np.maximum(self.spectrum("cross_gram", t), 0.0))
 
-    @_entry
-    def product_spectrum(self, t: float, p: float) -> np.ndarray:
-        """Descending eigenvalues of A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}.
+    def product(self, t: float, p: float) -> np.ndarray:
+        """A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}, similar to the product A^{(1-t)p} B^{tp}.
 
-        They are the eigenvalues of the product A^{(1-t)p} B^{tp}.  Only the
-        powers are checked, as ``pd_power`` checks them.
+        Only the powers are checked, as ``pd_power`` checks them.
         """
         ah = self.power(0, (1.0 - t) * p / 2.0)
-        return sym_eigen(symmetrize(ah @ self.power(1, t * p) @ ah), vectors=False).lam
+        return symmetrize(ah @ self.power(1, t * p) @ ah)
+
+    def product_spectrum(self, t: float, p: float) -> np.ndarray:
+        """Descending eigenvalues of ``product(t, p)``."""
+        return self.spectrum("product", t, p)
+
+    def bab_power(self, t: float) -> np.ndarray:
+        """B^t A^t B^t; only the powers are checked."""
+        bt = self.power(1, t)
+        return symmetrize(bt @ self.power(0, t) @ bt)
+
+    @_entry
+    def chord_gap(self, t: float) -> np.ndarray:
+        """The arithmetic path minus the geodesic, (1-t) A + t B - A #_t B."""
+        return symmetrize(self.arithmetic(t) - self.geometric(t))
 
 
 class MultiTable(_Factored):
@@ -357,21 +415,53 @@ class MultiTable(_Factored):
                 raise ValueError(f"dimension mismatch at matrix {i}: {m.shape} vs {shape}")
         return w
 
+    def power_aggregate(self, p: float) -> np.ndarray:
+        """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0."""
+        return self._aggregate(self.checked().alphas, p)
+
     @_entry
     def power_mean(self, p: float) -> np.ndarray:
-        return _root(self._aggregate(self.checked().alphas, p), p, self._AGGREGATE)
+        return _root(self.power_aggregate(p), p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, p: float) -> np.ndarray:
-        return _root_spectrum(self._aggregate(self.checked().alphas, p), p, self._AGGREGATE)
+        return _root_spectrum(self.spectrum("power_aggregate", p), p, self._AGGREGATE)
 
-    @_entry
+    def power_sum(self, p: float) -> np.ndarray:
+        """sum_i A_i^p (sum_i log A_i at p = 0); only the powers are checked."""
+        return self._aggregate((1.0,) * len(self._mats), p)
+
     def power_sum_spectrum(self, p: float) -> np.ndarray:
-        """Descending eigenvalues of sum_i A_i^p (sum_i log A_i at p = 0).
+        """Descending eigenvalues of ``power_sum(p)``."""
+        return self.spectrum("power_sum", p)
 
-        Only the powers are checked, as ``pd_power`` checks them.
-        """
-        return sym_eigen(self._aggregate((1.0,) * len(self._mats), p), vectors=False).lam
+
+def prefill(requests) -> None:
+    """Solve the table spectra that ``requests`` name in batches, ahead of their reads.
+
+    Each request is ``(table, name, args)`` for the read
+    ``table.spectrum(name, *args)``.  Each matrix is built through its own
+    entry, the matrices are stacked by order and solved by
+    ``sym_eigen_batch``, and each spectrum, or the error its solve raised,
+    is stored where that read stores it; the read then returns the same
+    bits.  A matrix whose build raised is left to its read, which raises
+    the same error after the checks that precede it.
+    """
+    stacks: dict[tuple, dict] = {}
+    for table, name, args in requests:
+        key = ("spectrum", name, *args)
+        if key in table._memo:
+            continue
+        try:
+            m = getattr(table, name)(*args)
+        except Exception:  # the read raises it again, in its own place
+            continue
+        stacks.setdefault(m.shape, {})[(id(table), key)] = (table, key, m)
+    for stack in stacks.values():
+        pending = list(stack.values())
+        solved = sym_eigen_batch([m for _, _, m in pending])
+        for (table, key, _), e in zip(pending, solved):
+            table._memo[key] = (False, e) if isinstance(e, Exception) else (True, e.lam)
 
 
 # ---------------------------------------------------------------------------

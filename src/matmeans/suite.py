@@ -10,11 +10,18 @@ full Ky Fan family k = 1..n, which by Fan dominance covers all unitarily
 invariant norms.  Each sub-inequality is recorded in a
 :class:`MarginTracker`, whose ``compare`` holds the margin formula of every
 kind; the tightest margin decides the verdict, and a NaN margin fails it.
+
+The campaign runner materializes instances in chunks of up to ``_CHUNK``.
+Before any property runs on a chunk, it solves every table spectrum the
+selected properties read (``_spectra_read``) in one batch per matrix
+order; the properties then read those spectra from the tables, and each
+instance is dropped once its properties ran.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -31,7 +38,7 @@ from .densela import (
     sym_exp,
     symmetrize,
 )
-from .means import MultiTable, PairTable
+from .means import MultiTable, PairTable, prefill
 from .spectra import eigenvalues_desc, log_prefix
 
 __all__ = [
@@ -133,7 +140,8 @@ class InstanceData:
 
     ``means`` holds every mean of (A, B) and ``multi_means`` every power
     mean of the weighted matrices.  Each decomposition, power, mean and
-    spectrum is computed once, on the first read by any property, and the
+    spectrum is computed once, on the first read by any property (a
+    campaign solves the grid spectra beforehand, in batches), and the
     matrices are validated once, so the properties that compare the same
     spectra share them.
     """
@@ -269,9 +277,9 @@ class MarginTracker:
 _KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
 
 
-def _abs_eig_spectrum(s) -> np.ndarray:
-    """Singular values of a symmetric matrix via |eigenvalues|."""
-    return np.sort(np.abs(sym_eigen(s, vectors=False).lam))[::-1]
+def _abs_desc(lam) -> np.ndarray:
+    """|eigenvalues| in descending order: the singular values of a symmetric matrix."""
+    return np.sort(np.abs(lam))[::-1]
 
 
 def _positive_grid(spec: InstanceSpec) -> list[float]:
@@ -338,14 +346,13 @@ def _p4(data: InstanceData, tr: MarginTracker) -> None:
     """Five-link chain at p = 1, ending at the arithmetic path."""
     means, spec = data.means, data.spec
     for t in spec.t_values:
-        x = means.cross(t)
         chain = [
             means.geometric_spectrum(t),
             means.log_euclidean_spectrum(t),
             means.sandwich_mean_spectrum(t, 1.0),
-            _abs_eig_spectrum(symmetrize(x)),
+            _abs_desc(means.spectrum("cross_sym", t)),
             means.cross_singular_values(t),
-            eigenvalues_desc(means.arithmetic(t)),
+            means.arithmetic_spectrum(t),
         ]
         for lhs, rhs in zip(chain, chain[1:]):
             tr.compare("KyFan", lhs, rhs, t=t, p=1.0)
@@ -478,10 +485,13 @@ def _p12(data: InstanceData, tr: MarginTracker) -> None:
     # Ky Fan on the prefix sums, the factor 4 applied after the cumsum.
     tr.compare("leq", np.cumsum(s_ab) * 4.0, np.cumsum(s_sum_sq), "KyFan")
 
-    ra = means.power(0, 0.5)
-    rb = means.power(1, 0.5)
+    # A^{1/2} and B^{1/2} first: a matrix that is not positive definite
+    # fails with the error of its square root.
+    means.power(0, 0.5)
+    means.power(1, 0.5)
     s_roots = means.cross_singular_values(0.5)
-    s_avg_sq = eigenvalues_desc(symmetrize((ra + rb) * 0.5)) ** 2
+    # ((A^{1/2} + B^{1/2}) / 2)^2 is the power mean at t = 1/2, p = 1/2.
+    s_avg_sq = means.power_mean_spectrum(0.5, 0.5)
     tr.compare("KyFan", s_roots, s_avg_sq)
     for p in (pp for pp in spec.p_grid if pp >= 0.5):
         tr.compare("KyFan", s_avg_sq, means.power_mean_spectrum(0.5, p), p=p)
@@ -504,17 +514,15 @@ def _p13(data: InstanceData, tr: MarginTracker) -> None:
 
     lam_bab = eigenvalues_desc(symmetrize(b @ a @ b))
     for t in spec.t_values:
-        bt = means.power(1, t)
-        inner = eigenvalues_desc(symmetrize(bt @ means.power(0, t) @ bt))
-        tr.compare("KyFan", inner, lam_bab**t, t=t)
+        tr.compare("KyFan", means.spectrum("bab_power", t), lam_bab**t, t=t)
 
 
 def _p14(data: InstanceData, tr: MarginTracker) -> None:
     """|||A^(1/2) X A^(1/2)||| <= |||(AX + XA)/2||| for symmetric X."""
     a, x = data.a, data.x_sym
     ra = data.means.power(0, 0.5)
-    lhs = _abs_eig_spectrum(symmetrize(ra @ x @ ra))
-    rhs = _abs_eig_spectrum(symmetrize((a @ x + x @ a) * 0.5))
+    lhs = _abs_desc(eigenvalues_desc(symmetrize(ra @ x @ ra)))
+    rhs = _abs_desc(eigenvalues_desc(symmetrize((a @ x + x @ a) * 0.5)))
     tr.compare("KyFan", lhs, rhs)
 
 
@@ -522,8 +530,8 @@ def _p15(data: InstanceData, tr: MarginTracker) -> None:
     """Geodesic below the chord, and the exponential product norm bound."""
     means, spec = data.means, data.spec
     for t in spec.t_values:
-        d = symmetrize(means.arithmetic(t) - means.geometric(t))
-        lam = sym_eigen(d, vectors=False).lam
+        d = means.chord_gap(t)
+        lam = means.spectrum("chord_gap", t)
         scale = 1.0 + float(np.max(np.abs(d)))
         tr.add(float(lam[-1]) / scale, t=t, norm_id="loewner:minlam", lhs=float(lam[-1]), rhs=0.0)
 
@@ -540,6 +548,54 @@ _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
     "P6": _p6, "P7": _p7, "P8": _p8, "P9": _p9, "P10": _p10,
     "P11": _p11, "P12": _p12, "P13": _p13, "P14": _p14, "P15": _p15,
 }
+
+
+def _reads(table, name: str, *axes) -> list[tuple]:
+    """Requests for ``table.spectrum(name, *args)`` over the grid of ``axes``."""
+    return [(table, name, args) for args in itertools.product(*axes)]
+
+
+def _spectra_read(d: InstanceData) -> dict[str, list[tuple]]:
+    """The table spectra each property reads on ``d``, as ``means.prefill`` requests.
+
+    run_campaign solves them in batches before any property runs, so each of
+    these reads hits the table; every other spectrum is solved where it is read.
+    """
+    m, mm, spec = d.means, d.multi_means, d.spec
+    ts, ps = spec.t_values, spec.p_grid
+    inner = [t for t in ts if t not in (0.0, 1.0)]  # the means are A or B at t = 0, 1
+    pos = _positive_grid(spec)
+    geo = _reads(m, "geometric", ts)
+    log_euclidean = _reads(m, "power_aggregate", inner, (0.0,))
+    power = _reads(m, "power_aggregate", inner, pos)
+    sandwich = _reads(m, "sandwich_matrix", inner, pos)
+    return {
+        "P1": _reads(m, "power_aggregate", inner, ps),
+        "P2": geo + log_euclidean + power,
+        "P3": geo + log_euclidean + sandwich + power,
+        "P4": geo + log_euclidean + _reads(m, "sandwich_matrix", inner, (1.0,))
+        + _reads(m, "cross_sym", ts) + _reads(m, "cross_gram", ts) + _reads(m, "arithmetic", inner),
+        "P5": geo + log_euclidean + sandwich + _reads(m, "product", inner, pos) + power,
+        "P6": [],
+        "P7": _reads(m, "geometric", (0.5,)) + _reads(m, "sandwich_matrix", (0.5,), (1.0,)),
+        "P8": [],
+        "P9": _reads(mm, "power_aggregate", ps)
+        + _reads(mm, "power_sum", [p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS)),
+        "P10": _reads(mm, "power_aggregate", (0.0, *pos)),
+        "P11": _reads(m, "geometric", (0.5,)) + _reads(m, "cross_gram", (0.5,)),
+        "P12": _reads(m, "cross_gram", (0.5,))
+        + _reads(m, "power_aggregate", (0.5,), (0.5, *(p for p in ps if p >= 0.5))),
+        "P13": geo + _reads(m, "product", ts, (1.0,)) + _reads(m, "geometric", (0.5,))
+        + _reads(m, "bab_power", ts),
+        "P14": [],
+        "P15": _reads(m, "chord_gap", ts),
+    }
+
+
+def _prefill(chunk: list[InstanceData], properties) -> None:
+    """Solve every table spectrum that ``properties`` read on ``chunk``, in batches."""
+    reads = (_spectra_read(d) for d in chunk)
+    prefill([r for by_pid in reads for pid in properties for r in by_pid[pid]])
 
 
 def _classify(worst: float, tol: float) -> tuple[str, bool]:
@@ -627,6 +683,8 @@ class CampaignConfig:
             raise ValueError("master seed must be >= 0")
         if self.count < 0:
             raise ValueError("instance count must be >= 0")
+        if not self.properties:
+            raise ValueError("at least one property is required")
         unknown = [p for p in self.properties if p not in _CATALOGUE]
         if unknown:
             raise ValueError(f"unknown property ids: {unknown}")
@@ -739,6 +797,10 @@ def report_csv_lines(report: CampaignReport) -> list[str]:
     return lines
 
 
+# Instances materialized, and their table spectra solved, together.
+_CHUNK = 32
+
+
 def run_campaign(
     config: CampaignConfig,
     jsonl_path=None,
@@ -752,10 +814,17 @@ def run_campaign(
     """
     start = time.perf_counter()
     results: list[PropertyResult] = []
-    for i in range(config.count):
-        data = materialize(build_instance(config, i))
-        for pid in config.properties:
-            results.append(check_property(pid, data, tolerance=config.tolerance))
+    for first in range(0, config.count, _CHUNK):
+        chunk = [
+            materialize(build_instance(config, i))
+            for i in range(first, min(first + _CHUNK, config.count))
+        ]
+        _prefill(chunk, config.properties)
+        chunk.reverse()
+        while chunk:  # each instance is dropped once its properties ran
+            data = chunk.pop()
+            for pid in config.properties:
+                results.append(check_property(pid, data, tolerance=config.tolerance))
 
     counts = {
         pid: {"pass": 0, "fail": 0, "marginal": 0, "skipped": 0}

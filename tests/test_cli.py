@@ -280,6 +280,8 @@ def test_usage_error_exit_code():
         (["--cond", "inf"], "cond_exponent must be finite"),
         (["--cond", "nan"], "cond_exponent must be finite"),
         (["--count", "0", "--t", "2"], "t values must lie in [0, 1]"),
+        (["--props", ""], "at least one property is required"),
+        (["--props", ","], "at least one property is required"),
     ],
 )
 def test_check_rejects_bad_campaign_config(tmp_path, capsys, args, message):

@@ -20,6 +20,7 @@ from matmeans.densela import (
     require_pd,
     singular_values,
     sym_eigen,
+    sym_eigen_batch,
     sym_exp,
     write_matrix,
 )
@@ -179,6 +180,128 @@ _SMALL_INPUTS = st.one_of(
 @given(_SMALL_INPUTS)
 def test_modes_agree_bitwise(m):
     _assert_modes_agree(m)
+
+
+# --- the batched spectrum-only kernel ------------------------------------------
+#
+# Member i of sym_eigen_batch must be the bits of sym_eigen(m_i, vectors=False),
+# or the error that call raises, whatever the stack holds beside it.
+
+
+def _scalar_spectrum(m, max_sweeps):
+    try:
+        return sym_eigen(m, max_sweeps, vectors=False)
+    except (ValueError, JacobiConvergenceError) as exc:
+        return exc
+
+
+def _assert_batch_matches(mats, max_sweeps=densela.JACOBI_MAX_SWEEPS):
+    got = sym_eigen_batch(mats, max_sweeps)
+    assert len(got) == len(mats)
+    for m, e in zip(mats, got):
+        ref = _scalar_spectrum(m, max_sweeps)
+        if isinstance(ref, Exception):
+            assert type(e) is type(ref) and str(e) == str(ref)
+        else:
+            assert isinstance(e, EigenDecomposition) and e.q is None
+            assert e.lam.tobytes() == ref.lam.tobytes()
+            assert not e.lam.flags.writeable
+
+
+def _block_diagonal(n, seed):
+    """Two positive definite blocks with exactly zero coupling."""
+    k = n // 2
+    m = np.zeros((n, n))
+    m[:k, :k] = random_pd(k, 1.5, seed)
+    m[k:, k:] = random_pd(n - k, 1.5, seed + 1)
+    return m
+
+
+def _coupled_identity(n, seed):
+    """The identity with only its first and last indices coupled: its other
+    pivots are exact zeros between equal diagonal entries."""
+    m = np.eye(n)
+    m[0, n - 1] = m[n - 1, 0] = np.random.default_rng(seed).uniform(-1.0, 1.0)
+    return m
+
+
+_MEMBER_KINDS = (
+    lambda n, seed: random_pd(n, 0.0, seed),
+    lambda n, seed: random_pd(n, 1.5, seed),
+    lambda n, seed: random_pd(n, 4.0, seed),
+    lambda n, seed: random_pd(n, 8.0, seed),
+    random_symmetric,  # indefinite
+    lambda n, seed: _tied_pd(n, seed) if n > 1 else np.eye(1),
+    lambda n, seed: np.eye(n),
+    lambda n, seed: _sparse_symmetric(n, seed) if n > 1 else np.zeros((1, 1)),
+    lambda n, seed: _block_diagonal(n, seed) if n > 1 else np.eye(1),
+    _coupled_identity,
+)
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(1, 8))
+    size = draw(st.sampled_from([1, 7, densela._BATCH_MIN - 1, densela._BATCH_MIN, 45]))
+    kinds = draw(st.lists(st.integers(0, len(_MEMBER_KINDS) - 1), min_size=size, max_size=size))
+    seed = draw(st.integers(0, 10_000))
+    return [_MEMBER_KINDS[k](n, seed + i) for i, k in enumerate(kinds)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacks(), st.sampled_from([0, 1, densela.JACOBI_MAX_SWEEPS]))
+def test_batch_matches_sym_eigen_bitwise(mats, max_sweeps):
+    _assert_batch_matches(mats, max_sweeps)
+
+
+def test_batch_matches_sym_eigen_up_to_order_16():
+    # The batch takes each threshold from a row-wise sum of squares, which
+    # must round as the per-matrix sum does at every order solved.
+    for n in range(1, 17):
+        _assert_batch_matches(
+            [random_pd(n, cond, 100 * n + i) for cond in (1.5, 8.0) for i in range(20)]
+        )
+
+
+def _first_converging_sweep(m):
+    for sweeps in range(densela.JACOBI_MAX_SWEEPS + 1):
+        if not isinstance(_scalar_spectrum(m, sweeps), Exception):
+            return sweeps
+    return None
+
+
+def test_batch_members_converge_and_fail_at_their_own_sweeps():
+    mats = [np.eye(5), np.diag([3.0, 2.0, 1.0, 4.0, 5.0]), _coupled_identity(5, 3)]
+    mats += [random_pd(5, cond, seed) for cond in (0.5, 1.5, 4.0, 8.0) for seed in range(10)]
+    assert len({_first_converging_sweep(m) for m in mats}) >= 3
+    assert len(mats) >= densela._BATCH_MIN
+    for max_sweeps in range(0, 8):
+        _assert_batch_matches(mats, max_sweeps)
+    errors = [e for e in sym_eigen_batch(mats, 1) if isinstance(e, Exception)]
+    assert errors and all(isinstance(e, JacobiConvergenceError) for e in errors)
+    assert all("did not converge after 1 sweeps" in str(e) for e in errors)
+
+
+def test_batch_bad_member_raises_its_own_error_beside_good_ones():
+    mats = [random_pd(4, 1.5, seed) for seed in range(40)]
+    nan = mats[3].copy()
+    nan[1, 2] = nan[2, 1] = math.nan
+    inf = mats[5].copy()
+    inf[0, 0] = math.inf
+    skew = mats[7].copy()
+    skew[0, 1] += 1e-3
+    mats[3], mats[5], mats[7] = nan, inf, skew
+    got = sym_eigen_batch(mats)
+    assert str(got[3]) == str(got[5]) == "matrix has non-finite entries"
+    assert isinstance(got[7], ValueError) and "is not symmetric" in str(got[7])
+    _assert_batch_matches(mats)
+
+
+def test_batch_small_stacks_and_shape_errors():
+    assert sym_eigen_batch([]) == []
+    _assert_batch_matches([random_pd(3, 1.5, 1)])
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        sym_eigen_batch([np.ones((2, 3))] * densela._BATCH_MIN)
 
 
 def test_spectrum_only_result_cannot_apply_or_reconstruct():

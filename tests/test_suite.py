@@ -280,8 +280,10 @@ def test_campaign_report_shapes_and_determinism(tmp_path):
 
 
 def test_empty_selection_and_zero_count():
-    rep = run_campaign(CampaignConfig(master_seed=1, count=3, properties=()))
-    assert rep.results == [] and rep.counts == {}
+    # An empty selection checks nothing, so it is rejected before any instance runs.
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="at least one property is required"):
+            CampaignConfig(master_seed=1, count=count, properties=())
     rep0 = run_campaign(CampaignConfig(master_seed=1, count=0, properties=("P6",)))
     assert rep0.results == [] and rep0.counts["P6"]["pass"] == 0
 

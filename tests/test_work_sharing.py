@@ -1,5 +1,6 @@
 """The campaign shares work through the per-instance table of means."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -147,3 +148,82 @@ def test_paper_counterexample_is_computed_once(solves):
     fresh = suite.paper_counterexample.__wrapped__()
     assert [v.hex() for v in first] == [v.hex() for v in fresh]
     assert len(solves) > 0
+
+
+# --- batched prefill of the table spectra -------------------------------------
+
+
+def _chunk(cond_exponent, count=6, master_seed=11):
+    config = CampaignConfig(master_seed=master_seed, count=count, cond_exponent=cond_exponent)
+    return [materialize(build_instance(config, i)) for i in range(count)]
+
+
+@pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
+def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_exponent):
+    # The prefill map names every table spectrum a property reads: once the
+    # chunk is prefilled, the tables solve no spectrum of order n on a read.
+    chunk = _chunk(cond_exponent)
+    assert len({d.dim for d in chunk}) > 1
+    suite._prefill(chunk, suite.PROPERTY_IDS)
+    calls = []
+
+    def recording(s, max_sweeps=densela.JACOBI_MAX_SWEEPS, vectors=True):
+        calls.append((np.shape(s)[0], vectors))
+        return densela.sym_eigen(s, max_sweeps, vectors)
+
+    monkeypatch.setattr(means, "sym_eigen", recording)
+    for data in chunk:
+        calls.clear()
+        for pid in suite.PROPERTY_IDS:
+            evaluate_property(pid, data)
+        assert (data.dim, False) not in calls
+
+
+@pytest.mark.parametrize(
+    "properties", [suite.PROPERTY_IDS, ("P8", "P14"), ("P2", "P9", "P13")]
+)
+def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
+    chunk = _chunk(1.5)
+    suite._prefill(chunk, properties)
+    prefilled = {
+        (id(table), key[1:])
+        for data in chunk
+        for table in (data.means, data.multi_means)
+        for key in table._memo
+        if key[0] == "spectrum"
+    }
+    read = set()
+    real = means._Factored.spectrum
+
+    def recording(table, name, *args):
+        read.add((id(table), (name, *args)))
+        return real(table, name, *args)
+
+    monkeypatch.setattr(means._Factored, "spectrum", recording)
+    for data in chunk:
+        for pid in properties:
+            evaluate_property(pid, data)
+    assert prefilled <= read
+    assert bool(prefilled) == (properties != ("P8", "P14"))
+
+
+@pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
+def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_exponent):
+    # Three chunks of mixed dimensions, prefilled, against a fresh lazy table per instance.
+    monkeypatch.setattr(suite, "_CHUNK", 4)
+    config = CampaignConfig(master_seed=1, count=10, dims=(3, 5), cond_exponent=cond_exponent)
+    lines = suite.report_jsonl_lines(suite.run_campaign(config))[:-1]
+    fresh = []
+    for i in range(config.count):
+        data = materialize(build_instance(config, i))
+        fresh += [
+            json.dumps(
+                suite.result_to_json_obj(suite.check_property(pid, data, config.tolerance)),
+                separators=(",", ":"),
+                allow_nan=False,
+            )
+            for pid in config.properties
+        ]
+    assert lines == fresh
+    if cond_exponent > 1.5:
+        assert any('"error"' in line for line in lines)
