@@ -21,12 +21,20 @@ Every spectrum-only solve of a table matrix is a read of one entry,
 :func:`prefill` builds many such matrices ahead of their reads, solves
 them by order with ``sym_eigen_batch`` and stores each result, or error,
 where its read would store it; the reads stay as they are and return the
-same bits.
+same bits.  The grid of one entry, such as every power aggregate over
+(t, p), is built as one stack by the table's ``_grid_<name>(points)``:
+the powers over the whole exponent list are assembled at once as
+(q * vals) @ q.T, weighted sums are added in index order and products are
+stacked ``matmul``s, which give the bits of the 2-D forms.  The eigenvalue
+functions stay Python scalar calls (``x ** p``, ``math.log``), because
+numpy's ``power`` and ``log`` round differently on a few percent of
+inputs.  Only the spectra are kept, not the matrices.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,6 +139,44 @@ def _root_spectrum(lam: np.ndarray, p: float, what: str) -> np.ndarray:
     return np.sort(lam ** (1.0 / p))[::-1]
 
 
+def _power_stack(e: EigenDecomposition, exps, log: bool = False) -> np.ndarray:
+    """``pd_power(e, x)`` for each x in ``exps``, stacked in order (``pd_log(e)`` at x = 0
+    when ``log``).
+
+    The same bits as those calls: the eigenvalue functions are Python scalar
+    calls, as in ``EigenDecomposition.apply``, because numpy's ``power``,
+    ``log`` and ``exp`` round differently, and stacked ``matmul`` gives the
+    bits of the 2-D product.  Raises ``ValueError`` where those calls would
+    raise, with another text; the caller then builds point by point.
+    """
+    require_pd_eigen(e)
+    lam = e.lam.tolist()
+    uniq = dict.fromkeys(exps)
+    try:
+        vals = np.array([
+            [math.log(v) for v in lam] if x == 0.0 and log else [v**x for v in lam]
+            for x in uniq
+        ])
+    except OverflowError as exc:
+        raise ValueError("non-finite power") from exc
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite power")
+    m = (e.q * vals[:, None, :]) @ e.q.T
+    m = (m + m.transpose(0, 2, 1)) * 0.5
+    for j, x in enumerate(uniq):
+        if x == 0.0 and not log:
+            m[j] = np.eye(e.n)
+    pos = {x: j for j, x in enumerate(uniq)}
+    return m[[pos[x] for x in exps]]
+
+
+def _symmetrize_stack(x: np.ndarray) -> np.ndarray:
+    """``symmetrize`` of each matrix in a stack; raises if any entry is not finite."""
+    if not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
+    return (x + x.transpose(0, 2, 1)) * 0.5
+
+
 def _entry(method):
     """A table entry: computed on its first read for given arguments, then reused.
 
@@ -163,7 +209,9 @@ class _Factored:
 
     Matrix i is decomposed once, with eigenvectors, for its validation, its
     powers and its logarithm; ``power`` and ``log`` have the checks of
-    ``pd_power`` and ``pd_log``.
+    ``pd_power`` and ``pd_log``.  A grid builder ``_grid_<name>(points)``
+    returns the matrices ``<name>(*point)`` for every point, bit for bit,
+    or raises if any of them would.
     """
 
     def __init__(self, mats: Sequence):
@@ -182,13 +230,18 @@ class _Factored:
     def log(self, i: int) -> np.ndarray:
         return pd_log(self.eig(i))
 
-    @_entry
     def _aggregate(self, weights: tuple[float, ...], p: float) -> np.ndarray:
         """sum_i w_i A_i^p (sum_i w_i log A_i at p = 0), added in index order from
         the first term, not from 0, so a pair's sum is the expression (1-t) X + t Y."""
         term = self.log if p == 0.0 else (lambda i: self.power(i, p))
         terms = (w * term(i) for i, w in enumerate(weights))
         return symmetrize(functools.reduce(operator.add, terms))
+
+    def _aggregate_grid(self, weights: list, exps: list) -> np.ndarray:
+        """``_aggregate(weights[j], exps[j])`` for every j, stacked, added in the same order."""
+        w = np.array(weights)[:, :, None, None]
+        terms = (w[:, i] * _power_stack(self.eig(i), exps, log=True) for i in range(w.shape[1]))
+        return _symmetrize_stack(functools.reduce(operator.add, terms))
 
     @_entry
     def spectrum(self, name: str, *args) -> np.ndarray:
@@ -257,6 +310,10 @@ class PairTable(_Factored):
         rh, ec = self._congruence()
         return symmetrize(rh @ pd_power(ec, t) @ rh)
 
+    def _grid_geometric(self, points) -> np.ndarray:
+        rh, ec = self._congruence()
+        return _symmetrize_stack(rh @ _power_stack(ec, [t for t, in points]) @ rh)
+
     @_entry
     def geometric_spectrum(self, t: float) -> np.ndarray:
         return np.array(self.spectrum("geometric", t))
@@ -264,6 +321,9 @@ class PairTable(_Factored):
     def power_aggregate(self, t: float, p: float) -> np.ndarray:
         """(1-t) A^p + t B^p, or (1-t) log A + t log B at p = 0."""
         return self._aggregate((1.0 - t, t), p)
+
+    def _grid_power_aggregate(self, points) -> np.ndarray:
+        return self._aggregate_grid([(1.0 - t, t) for t, _ in points], [p for _, p in points])
 
     @_entry
     def power_mean(self, t: float, p: float) -> np.ndarray:
@@ -297,10 +357,21 @@ class PairTable(_Factored):
             return self.eig(end).lam
         return self.spectrum("arithmetic", t)
 
-    @_entry
     def _sandwich_aggregate(self, t: float, p: float) -> np.ndarray:
         bt = self.power(1, t * p / 2.0)
         return symmetrize(bt @ self.power(0, (1.0 - t) * p) @ bt)
+
+    def _grid_sandwich_matrix(self, points) -> list:
+        """The sandwich aggregates stacked; the factor-form blocks point by point."""
+        self.checked()
+        factor = [self._sandwich_via_factor(t, p) for t, p in points]
+        agg = [pt for pt, f in zip(points, factor) if not f]
+        stack = iter(())
+        if agg:
+            bt = _power_stack(self.eig(1), [t * p / 2.0 for t, p in agg])
+            ap = _power_stack(self.eig(0), [(1.0 - t) * p for t, p in agg])
+            stack = iter(_symmetrize_stack(bt @ ap @ bt))
+        return [self.sandwich_matrix(*pt) if f else next(stack) for pt, f in zip(points, factor)]
 
     def _sandwich_via_factor(self, t: float, p: float) -> bool:
         """Whether the eigenvalue range of the sandwich aggregate is past the limit."""
@@ -374,6 +445,10 @@ class PairTable(_Factored):
         ah = self.power(0, (1.0 - t) * p / 2.0)
         return symmetrize(ah @ self.power(1, t * p) @ ah)
 
+    def _grid_product(self, points) -> np.ndarray:
+        ah = _power_stack(self.eig(0), [(1.0 - t) * p / 2.0 for t, p in points])
+        return _symmetrize_stack(ah @ _power_stack(self.eig(1), [t * p for t, p in points]) @ ah)
+
     def product_spectrum(self, t: float, p: float) -> np.ndarray:
         """Descending eigenvalues of ``product(t, p)``."""
         return self.spectrum("product", t, p)
@@ -419,6 +494,10 @@ class MultiTable(_Factored):
         """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0."""
         return self._aggregate(self.checked().alphas, p)
 
+    def _grid_power_aggregate(self, points) -> np.ndarray:
+        alphas = self.checked().alphas
+        return self._aggregate_grid([alphas] * len(points), [p for p, in points])
+
     @_entry
     def power_mean(self, p: float) -> np.ndarray:
         return _root(self.power_aggregate(p), p, self._AGGREGATE)
@@ -431,6 +510,9 @@ class MultiTable(_Factored):
         """sum_i A_i^p (sum_i log A_i at p = 0); only the powers are checked."""
         return self._aggregate((1.0,) * len(self._mats), p)
 
+    def _grid_power_sum(self, points) -> np.ndarray:
+        return self._aggregate_grid([(1.0,) * len(self._mats)] * len(points), [p for p, in points])
+
     def power_sum_spectrum(self, p: float) -> np.ndarray:
         """Descending eigenvalues of ``power_sum(p)``."""
         return self.spectrum("power_sum", p)
@@ -439,29 +521,50 @@ class MultiTable(_Factored):
 def prefill(requests) -> None:
     """Solve the table spectra that ``requests`` name in batches, ahead of their reads.
 
-    Each request is ``(table, name, args)`` for the read
-    ``table.spectrum(name, *args)``.  Each matrix is built through its own
-    entry, the matrices are stacked by order and solved by
-    ``sym_eigen_batch``, and each spectrum, or the error its solve raised,
-    is stored where that read stores it; the read then returns the same
-    bits.  A matrix whose build raised is left to its read, which raises
-    the same error after the checks that precede it.
+    Each request ``(table, name, axes)`` names the reads
+    ``table.spectrum(name, *args)`` for ``args`` over the grid
+    ``itertools.product(*axes)``.  The matrices of one table entry are built
+    as one stack by its grid builder ``_grid_<name>``, where it has one, and
+    point by point through the entry otherwise, or when the grid builder
+    raises because some point would.  They are stacked by order and solved
+    by ``sym_eigen_batch``, and each spectrum, or the error its solve
+    raised, is stored where its read stores it; the read then returns the
+    same bits.  A matrix whose own build raised is left to its read, which
+    raises the same error after the checks that precede it.
     """
-    stacks: dict[tuple, dict] = {}
-    for table, name, args in requests:
-        key = ("spectrum", name, *args)
-        if key in table._memo:
-            continue
+    groups: dict[tuple, tuple] = {}
+    for table, name, axes in requests:
+        points = groups.setdefault((id(table), name), (table, name, {}))[2]
+        for args in itertools.product(*axes):
+            if ("spectrum", name, *args) not in table._memo:
+                points[args] = None
+    stacks: dict[tuple, tuple[list, list]] = {}
+    for table, name, points in groups.values():
+        for args, m in _build(table, name, list(points)):
+            keys, mats = stacks.setdefault(m.shape, ([], []))
+            keys.append((table, ("spectrum", name, *args)))
+            mats.append(m)
+    while stacks:  # each stack is freed once solved
+        _, (keys, mats) = stacks.popitem()
+        for (table, key), e in zip(keys, sym_eigen_batch(mats)):
+            table._memo[key] = (False, e) if isinstance(e, Exception) else (True, e.lam)
+
+
+def _build(table, name: str, points: list) -> list:
+    """``(args, getattr(table, name)(*args))`` for each of ``points`` whose build succeeds."""
+    grid = getattr(table, f"_grid_{name}", None)
+    if grid is not None and points:
         try:
-            m = getattr(table, name)(*args)
+            return list(zip(points, grid(points)))
+        except Exception:  # some point raises: each is built, or raises, on its own
+            pass
+    built = []
+    for args in points:
+        try:
+            built.append((args, getattr(table, name)(*args)))
         except Exception:  # the read raises it again, in its own place
             continue
-        stacks.setdefault(m.shape, {})[(id(table), key)] = (table, key, m)
-    for stack in stacks.values():
-        pending = list(stack.values())
-        solved = sym_eigen_batch([m for _, _, m in pending])
-        for (table, key, _), e in zip(pending, solved):
-            table._memo[key] = (False, e) if isinstance(e, Exception) else (True, e.lam)
+    return built
 
 
 # ---------------------------------------------------------------------------

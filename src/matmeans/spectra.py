@@ -54,5 +54,6 @@ def schatten_norm(x, p: float) -> float:
 
 
 def log_prefix(v) -> np.ndarray:
-    """Prefix sums of log(max(v, LOG_CLAMP)): the logarithms of k-fold products."""
-    return np.cumsum(np.log(np.maximum(v, LOG_CLAMP)))
+    """Prefix sums of log(max(v, LOG_CLAMP)) along the last axis: the logarithms
+    of k-fold products."""
+    return np.cumsum(np.log(np.maximum(v, LOG_CLAMP)), axis=-1)

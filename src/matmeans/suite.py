@@ -11,17 +11,25 @@ invariant norms.  Each sub-inequality is recorded in a
 :class:`MarginTracker`, whose ``compare`` holds the margin formula of every
 kind; the tightest margin decides the verdict, and a NaN margin fails it.
 
+The properties that run over the (t, p) grid read all their spectra first,
+in a fixed order, then compare each link of their chain in one
+``compare`` call over the whole grid.  The tracker records those margins
+as one compare per point would: by t, then p, then link within the point,
+then k.  That order decides the witness among equal margins, such as the
+exact 0.0 and -0.0 at the endpoints t = 0 and t = 1.
+
 The campaign runner materializes instances in chunks of up to ``_CHUNK``.
 Before any property runs on a chunk, it solves every table spectrum the
-selected properties read (``_spectra_read``) in one batch per matrix
-order; the properties then read those spectra from the tables, and each
-instance is dropped once its properties ran.
+selected properties read (``_spectra_read``, one list of grid entries per
+property) in one batch per matrix order; the properties then read those
+spectra from the tables, and each instance is dropped once its properties
+ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import json
 import math
 import time
@@ -32,14 +40,14 @@ import numpy as np
 
 from .compound import compound_matrix
 from .densela import (
+    as_square_matrix,
     random_pd,
-    singular_values,
     sym_eigen,
     sym_exp,
     symmetrize,
 )
 from .means import MultiTable, PairTable, prefill
-from .spectra import eigenvalues_desc, log_prefix
+from .spectra import log_prefix
 
 __all__ = [
     "DEFAULT_T_VALUES",
@@ -163,11 +171,68 @@ class InstanceData:
 
     @functools.cached_property
     def means(self) -> PairTable:
-        return PairTable(self.a, self.b)
+        return _InstanceTable(self)
 
     @functools.cached_property
     def multi_means(self) -> MultiTable:
         return MultiTable(self.multi, self.weights)
+
+
+class _InstanceTable(PairTable):
+    """The pair table of an instance, with the matrices that P9 and P12-P15 form.
+
+    Each of them is read through ``spectrum(name)``, so a campaign solves it
+    in the batches of its chunk.
+    """
+
+    def __init__(self, data: InstanceData):
+        super().__init__(data.a, data.b)
+        self._multi = data.multi
+        self._x = data.x_sym
+
+    def multi_sum(self) -> np.ndarray:
+        """A_1 + ... + A_m of the weighted matrices (P9)."""
+        return symmetrize(sum(self._multi))
+
+    def ab_gram(self) -> np.ndarray:
+        """X^T X of X = AB, formed as ``singular_values`` forms it (P12)."""
+        x = as_square_matrix(self._mats[0] @ self._mats[1])
+        g = x.T @ x
+        return (g + g.T) * 0.5
+
+    def pair_sum(self) -> np.ndarray:
+        """A + B (P12)."""
+        return symmetrize(self._mats[0] + self._mats[1])
+
+    def bab_half(self) -> np.ndarray:
+        """B^{1/2} A B^{1/2} (P13)."""
+        rb = self.power(1, 0.5)
+        return symmetrize(rb @ self._mats[0] @ rb)
+
+    def bab(self) -> np.ndarray:
+        """B A B (P13)."""
+        a, b = self._mats
+        return symmetrize(b @ a @ b)
+
+    def x_congruence(self) -> np.ndarray:
+        """A^{1/2} X A^{1/2} (P14)."""
+        ra = self.power(0, 0.5)
+        return symmetrize(ra @ self._x @ ra)
+
+    def x_jordan(self) -> np.ndarray:
+        """(AX + XA) / 2 (P14)."""
+        a, x = self._mats[0], self._x
+        return symmetrize((a @ x + x @ a) * 0.5)
+
+    def log_sum(self) -> np.ndarray:
+        """log A + log B (P15)."""
+        return symmetrize(self.log(0) + self.log(1))
+
+    def exp_product(self) -> np.ndarray:
+        """e^{K/2} e^H e^{K/2} of H = log A, K = log B (P15)."""
+        h, k = self.log(0), self.log(1)
+        ek2 = sym_exp(k * 0.5)
+        return symmetrize(ek2 @ sym_exp(h) @ ek2)
 
 
 def materialize(spec: InstanceSpec) -> InstanceData:
@@ -216,7 +281,9 @@ class MarginTracker:
     """Accumulates normalized sub-inequality margins, keeping the worst.
 
     A NaN margin is never the worst, so the first one is kept apart: a
-    sub-inequality that evaluated to NaN was not shown to hold.
+    sub-inequality that evaluated to NaN was not shown to hold.  Margins
+    are recorded in order; the worst is the first of the smallest, and the
+    NaN witness the first NaN.
     """
 
     def __init__(self):
@@ -224,6 +291,7 @@ class MarginTracker:
         self.witness = Witness()
         self.nan_witness: Witness | None = None
         self.count = 0
+        self._links: list | None = None  # the compares of an open chain
 
     def add(self, margin, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
         m = float(margin)
@@ -249,8 +317,14 @@ class MarginTracker:
           prefix sums of the entries, or of their logarithms, so the
           totals set the scale of every k.
 
+        ``t`` and ``p`` may be arrays: their broadcast shape is a grid, and
+        ``lhs`` and ``rhs`` then carry it as leading axes, one scalar or
+        vector per grid point.  A grid compare records what one compare per
+        point, in C order, would record; inside :meth:`chain` it is one
+        link of a chain.
+
         Returns the compared values (l, r): the prefix sums for the prefix
-        kinds.
+        kinds, broadcast to the grid.
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown comparison kind {kind!r}")
@@ -259,19 +333,112 @@ class MarginTracker:
         if kind == "logsum":
             l, r = log_prefix(l), log_prefix(r)
         elif kind in ("KyFan", "sum"):
-            l, r = np.cumsum(l), np.cumsum(r)
+            l, r = np.cumsum(l, axis=-1), np.cumsum(r, axis=-1)
+        l, r = np.broadcast_arrays(l, r)
         if kind in ("sum", "logsum"):
-            scale = 1.0 + max(abs(float(l[-1])), abs(float(r[-1])))
+            # Python's max, which keeps its first argument unless the second is larger.
+            lt, rt = np.abs(l[..., -1:]), np.abs(r[..., -1:])
+            scale = 1.0 + np.where(rt > lt, rt, lt)
         else:
             scale = 1.0 + np.maximum(np.abs(l), np.abs(r))
         margins = (-np.abs(l - r) if kind == "eq" else r - l) / scale
         label = label or kind
+        grid = np.broadcast_shapes(np.shape(t), np.shape(p))
+        if grid or self._links is not None:
+            link = _Link(margins, l, r, label, t, p, len(grid))
+            if self._links is None:
+                self._record([link])
+            else:
+                self._links.append(link)
+            return l, r
         if l.ndim == 0:
             self.add(margins, t=t, p=p, norm_id=label, lhs=float(l), rhs=float(r))
             return l, r
         for k, (m, lv, rv) in enumerate(zip(margins.tolist(), l.tolist(), r.tolist()), 1):
             self.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
         return l, r
+
+    @contextlib.contextmanager
+    def chain(self):
+        """Record the compares made inside as one chain over a shared grid.
+
+        Their margins are recorded as one compare per grid point and link
+        would record them: by grid point, then link (the order of the
+        compares), then k.  A link over fewer grid axes, such as a t-only link beside
+        (t, p) links, comes first at its leading index.
+        """
+        self._links = links = []
+        try:
+            yield
+        finally:
+            self._links = None
+        self._record(links)
+
+    def _record(self, links: list) -> None:
+        """Record the margins of ``links`` as ``add`` would, in chain order."""
+        flat = [lk.margins.ravel() for lk in links]
+        m = np.concatenate(flat) if len(flat) > 1 else flat[0]
+        self.count += m.size
+        if not m.size:
+            return
+        starts = np.cumsum([0] + [f.size for f in flat[:-1]])
+        lo = np.fmin.reduce(m)  # NaN only if every margin is
+        if lo < self.worst:
+            self.worst, self.witness = _first(links, starts, np.flatnonzero(m == lo))
+        if self.nan_witness is None:
+            nan = np.flatnonzero(np.isnan(m))
+            if nan.size:
+                self.nan_witness = _first(links, starts, nan)[1]
+
+
+@dataclass
+class _Link:
+    """One grid compare: its margins and compared values, with grid axes leading."""
+
+    margins: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
+    label: str
+    t: object
+    p: object
+    grid_ndim: int
+
+    def key(self, j: int, link: int, rank: int) -> tuple:
+        """Sort key of flat entry j: grid index padded to ``rank`` axes, link, k."""
+        idx = np.unravel_index(j, self.margins.shape)
+        g = self.grid_ndim
+        k = idx[g] if len(idx) > g else 0
+        return (*idx[:g], *(-1,) * (rank - g), link, k)
+
+    def witness(self, j: int) -> tuple[float, Witness]:
+        idx = np.unravel_index(j, self.margins.shape)
+        g = self.grid_ndim
+        t, p = (
+            None if v is None else float(np.broadcast_to(v, self.margins.shape[:g])[idx[:g]])
+            for v in (self.t, self.p)
+        )
+        norm_id = f"{self.label}:{idx[g] + 1}" if len(idx) > g else self.label
+        return float(self.margins[idx]), Witness(
+            t=t, p=p, norm_id=norm_id, lhs=float(self.l[idx]), rhs=float(self.r[idx])
+        )
+
+
+def _first(links: list, starts: np.ndarray, candidates: np.ndarray) -> tuple[float, Witness]:
+    """(margin, witness) of the candidate recorded first.
+
+    ``candidates`` index the concatenated margins of ``links``, link i
+    starting at ``starts[i]``; within a chain they are ordered by
+    :meth:`_Link.key`.
+    """
+    if len(links) == 1:
+        return links[0].witness(int(candidates[0]))
+    at = np.searchsorted(starts, candidates, side="right") - 1
+    rank = max(lk.grid_ndim for lk in links)
+    _, i, j = min(
+        (links[i].key(j, i, rank), i, j)
+        for i, j in zip(at.tolist(), (candidates - starts[at]).tolist())
+    )
+    return links[i].witness(j)
 
 
 _KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
@@ -309,78 +476,115 @@ def paper_counterexample() -> tuple[float, float]:
 # The catalogue.
 
 
+def _spectra(rows, *shape) -> np.ndarray:
+    """Spectra read in order, as one array of ``shape`` (whose last axis is n)."""
+    return np.reshape(np.array(rows, dtype=float), shape)
+
+
 def _p1(data: InstanceData, tr: MarginTracker) -> None:
     """lambda_j of the power mean is non-decreasing across the p grid."""
     means, spec = data.means, data.spec
-    for t in spec.t_values:
-        specs = [means.power_mean_spectrum(t, p) for p in spec.p_grid]
-        for p_hi, s_lo, s_hi in zip(spec.p_grid[1:], specs, specs[1:]):
-            tr.compare("leq", s_lo, s_hi, "lambda", t=t, p=p_hi)
+    ts, ps = spec.t_values, spec.p_grid
+    s = _spectra([means.power_mean_spectrum(t, p) for t in ts for p in ps], len(ts), len(ps), data.dim)
+    tr.compare("leq", s[:, :-1], s[:, 1:], "lambda", t=np.array(ts)[:, None], p=np.array(ps[1:]))
+
+
+def _grid_reads(spec: InstanceSpec, at_t, at_tp=()) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra read in the order of the t-grid chains: at each t every ``f(t)`` of
+    ``at_t``, then at each positive p every ``f(t, p)`` of ``at_tp``.
+
+    Returns arrays of shapes (|t|, len(at_t), n) and (|t|, |p|, len(at_tp), n).
+    """
+    ts, pos = spec.t_values, _positive_grid(spec)
+    rows_t, rows_tp = [], []
+    for t in ts:
+        rows_t += [f(t) for f in at_t]
+        for p in pos:
+            rows_tp += [f(t, p) for f in at_tp]
+    return (
+        _spectra(rows_t, len(ts), len(at_t), spec.dim),
+        _spectra(rows_tp, len(ts), len(pos), len(at_tp), spec.dim),
+    )
+
+
+def _tp(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t axis of a t-only link, and the t and p axes of a (t, p) link."""
+    t = np.array(spec.t_values, dtype=float)
+    return t, t[:, None], np.array(_positive_grid(spec))
 
 
 def _p2(data: InstanceData, tr: MarginTracker) -> None:
     """|||geometric||| <= |||log-Euclidean||| <= |||power mean||| for p > 0."""
-    means, spec = data.means, data.spec
-    for t in spec.t_values:
-        s_geo = means.geometric_spectrum(t)
-        s_le = means.log_euclidean_spectrum(t)
-        tr.compare("KyFan", s_geo, s_le, t=t)
-        for p in _positive_grid(spec):
-            tr.compare("KyFan", s_le, means.power_mean_spectrum(t, p), t=t, p=p)
+    m = data.means
+    s, s_p = _grid_reads(
+        data.spec, (m.geometric_spectrum, m.log_euclidean_spectrum), (m.power_mean_spectrum,)
+    )
+    t, tp, p = _tp(data.spec)
+    with tr.chain():
+        tr.compare("KyFan", s[:, 0], s[:, 1], t=t)
+        tr.compare("KyFan", s[:, None, 1], s_p[:, :, 0], t=tp, p=p)
 
 
 def _p3(data: InstanceData, tr: MarginTracker) -> None:
     """Same chain refined through the sandwich mean."""
-    means, spec = data.means, data.spec
-    for t in spec.t_values:
-        s_geo = means.geometric_spectrum(t)
-        s_le = means.log_euclidean_spectrum(t)
-        tr.compare("KyFan", s_geo, s_le, t=t)
-        for p in _positive_grid(spec):
-            s_sw = means.sandwich_mean_spectrum(t, p)
-            tr.compare("KyFan", s_le, s_sw, t=t, p=p)
-            tr.compare("KyFan", s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
+    m = data.means
+    s, s_p = _grid_reads(
+        data.spec,
+        (m.geometric_spectrum, m.log_euclidean_spectrum),
+        (m.sandwich_mean_spectrum, m.power_mean_spectrum),
+    )
+    t, tp, p = _tp(data.spec)
+    with tr.chain():
+        tr.compare("KyFan", s[:, 0], s[:, 1], t=t)
+        tr.compare("KyFan", s[:, None, 1], s_p[:, :, 0], t=tp, p=p)
+        tr.compare("KyFan", s_p[:, :, 0], s_p[:, :, 1], t=tp, p=p)
 
 
 def _p4(data: InstanceData, tr: MarginTracker) -> None:
     """Five-link chain at p = 1, ending at the arithmetic path."""
-    means, spec = data.means, data.spec
-    for t in spec.t_values:
-        chain = [
-            means.geometric_spectrum(t),
-            means.log_euclidean_spectrum(t),
-            means.sandwich_mean_spectrum(t, 1.0),
-            _abs_desc(means.spectrum("cross_sym", t)),
-            means.cross_singular_values(t),
-            means.arithmetic_spectrum(t),
-        ]
-        for lhs, rhs in zip(chain, chain[1:]):
-            tr.compare("KyFan", lhs, rhs, t=t, p=1.0)
+    m = data.means
+    chain, _ = _grid_reads(data.spec, (
+        m.geometric_spectrum,
+        m.log_euclidean_spectrum,
+        lambda t: m.sandwich_mean_spectrum(t, 1.0),
+        lambda t: _abs_desc(m.spectrum("cross_sym", t)),
+        m.cross_singular_values,
+        m.arithmetic_spectrum,
+    ))
+    t = np.array(data.spec.t_values)
+    with tr.chain():
+        for j in range(5):
+            tr.compare("KyFan", chain[:, j], chain[:, j + 1], t=t, p=1.0)
 
 
 def _p5(data: InstanceData, tr: MarginTracker) -> None:
     """Log-majorization chain and the sandwich/product spectral identity."""
-    means, spec = data.means, data.spec
-    for t in spec.t_values:
-        s_geo = means.geometric_spectrum(t)
-        s_le = means.log_euclidean_spectrum(t)
-        lx, ly = tr.compare("logsum", s_geo, s_le, t=t)
-        tr.compare("eq", lx[-1], ly[-1], "logdet", t=t)
-        for p in _positive_grid(spec):
-            s_sw = means.sandwich_mean_spectrum(t, p)
-            lx, ly = tr.compare("logsum", s_le, s_sw, t=t, p=p)
-            tr.compare("eq", lx[-1], ly[-1], "logdet", t=t, p=p)
-            # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
-            # is exactly A^p or B^p; taking its root directly avoids the
-            # power round trip, matching the means' endpoint handling.
-            if t == 0.0:
-                s_dual = means.eig(0).lam
-            elif t == 1.0:
-                s_dual = means.eig(1).lam
-            else:
-                s_dual = means.product_spectrum(t, p) ** (1.0 / p)
-            tr.compare("eq", s_sw, s_dual, "lambda", t=t, p=p)
-            tr.compare("logsum", s_sw, means.power_mean_spectrum(t, p), t=t, p=p)
+    m = data.means
+
+    def dual(t, p):
+        # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
+        # is exactly A^p or B^p; taking its root directly avoids the
+        # power round trip, matching the means' endpoint handling.
+        if t == 0.0:
+            return m.eig(0).lam
+        if t == 1.0:
+            return m.eig(1).lam
+        return m.product_spectrum(t, p) ** (1.0 / p)
+
+    s, s_p = _grid_reads(
+        data.spec,
+        (m.geometric_spectrum, m.log_euclidean_spectrum),
+        (m.sandwich_mean_spectrum, dual, m.power_mean_spectrum),
+    )
+    sw = s_p[:, :, 0]
+    t, tp, p = _tp(data.spec)
+    with tr.chain():
+        lx, ly = tr.compare("logsum", s[:, 0], s[:, 1], t=t)
+        tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=t)
+        lx, ly = tr.compare("logsum", s[:, None, 1], sw, t=tp, p=p)
+        tr.compare("eq", lx[..., -1], ly[..., -1], "logdet", t=tp, p=p)
+        tr.compare("eq", sw, s_p[:, :, 1], "lambda", t=tp, p=p)
+        tr.compare("logsum", sw, s_p[:, :, 2], t=tp, p=p)
 
 
 def _p6(data: InstanceData, tr: MarginTracker) -> None:
@@ -439,27 +643,26 @@ def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
 
 def _p9(data: InstanceData, tr: MarginTracker) -> None:
     """Multi-matrix monotonicity, unnormalized decrease on (0, 1], sum-power bound."""
-    multi, spec = data.multi_means, data.spec
-    specs = [multi.power_mean_spectrum(p) for p in spec.p_grid]
-    for p_hi, s_lo, s_hi in zip(spec.p_grid[1:], specs, specs[1:]):
-        tr.compare("leq", s_lo, s_hi, "lambda", p=p_hi)
+    multi, spec, n = data.multi_means, data.spec, data.dim
+    ps = spec.p_grid
+    s = _spectra([multi.power_mean_spectrum(p) for p in ps], len(ps), n)
+    tr.compare("leq", s[:-1], s[1:], "lambda", p=np.array(ps[1:]))
 
-    unit_ps = [p for p in spec.p_grid if 0.0 < p <= 1.0]
-    unit_specs = {p: _unnormalized_power_spectrum(multi, p) for p in unit_ps}
-    for p_lo, p_hi in zip(unit_ps, unit_ps[1:]):
-        tr.compare("KyFan", unit_specs[p_hi], unit_specs[p_lo], p=p_hi)
+    unit_ps = [p for p in ps if 0.0 < p <= 1.0]
+    s = _spectra([_unnormalized_power_spectrum(multi, p) for p in unit_ps], len(unit_ps), n)
+    tr.compare("KyFan", s[1:], s[:-1], p=np.array(unit_ps[1:]))
 
-    lam_sum = eigenvalues_desc(symmetrize(sum(data.multi)))
-    for r in BK_EXPONENTS:
-        tr.compare("KyFan", multi.power_sum_spectrum(r), lam_sum**r, p=r)
+    lam_sum = data.means.spectrum("multi_sum")
+    s = _spectra([multi.power_sum_spectrum(r) for r in BK_EXPONENTS], len(BK_EXPONENTS), n)
+    tr.compare("KyFan", s, [lam_sum**r for r in BK_EXPONENTS], p=np.array(BK_EXPONENTS))
 
 
 def _p10(data: InstanceData, tr: MarginTracker) -> None:
     """Multi-matrix log mean norm-dominated by every positive power mean."""
-    multi, spec = data.multi_means, data.spec
+    multi, pos = data.multi_means, _positive_grid(data.spec)
     s_le = multi.power_mean_spectrum(0.0)
-    for p in _positive_grid(spec):
-        tr.compare("KyFan", s_le, multi.power_mean_spectrum(p), p=p)
+    s = _spectra([multi.power_mean_spectrum(p) for p in pos], len(pos), data.dim)
+    tr.compare("KyFan", s_le, s, p=np.array(pos))
 
 
 def _p11(data: InstanceData, tr: MarginTracker) -> None:
@@ -479,9 +682,9 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
 
 def _p12(data: InstanceData, tr: MarginTracker) -> None:
     """4 |||AB||| <= |||(A+B)^2||| and the square-root mean chain."""
-    a, b, means, spec = data.a, data.b, data.means, data.spec
-    s_ab = singular_values(a @ b)
-    s_sum_sq = eigenvalues_desc(symmetrize(a + b)) ** 2
+    means, spec = data.means, data.spec
+    s_ab = np.sqrt(np.maximum(means.spectrum("ab_gram"), 0.0))  # the singular values of AB
+    s_sum_sq = means.spectrum("pair_sum") ** 2
     # Ky Fan on the prefix sums, the factor 4 applied after the cumsum.
     tr.compare("leq", np.cumsum(s_ab) * 4.0, np.cumsum(s_sum_sq), "KyFan")
 
@@ -492,38 +695,37 @@ def _p12(data: InstanceData, tr: MarginTracker) -> None:
     s_roots = means.cross_singular_values(0.5)
     # ((A^{1/2} + B^{1/2}) / 2)^2 is the power mean at t = 1/2, p = 1/2.
     s_avg_sq = means.power_mean_spectrum(0.5, 0.5)
+    ps = [p for p in spec.p_grid if p >= 0.5]
+    s = _spectra([means.power_mean_spectrum(0.5, p) for p in ps], len(ps), spec.dim)
     tr.compare("KyFan", s_roots, s_avg_sq)
-    for p in (pp for pp in spec.p_grid if pp >= 0.5):
-        tr.compare("KyFan", s_avg_sq, means.power_mean_spectrum(0.5, p), p=p)
+    tr.compare("KyFan", s_avg_sq, s, p=np.array(ps))
 
 
 def _p13(data: InstanceData, tr: MarginTracker) -> None:
     """Cross-term majorization and the associated power-product bounds."""
-    a, b, means, spec = data.a, data.b, data.means, data.spec
-    for t in spec.t_values:
-        s_geo = means.geometric_spectrum(t)
-        s_cross = means.product_spectrum(t, 1.0)
-        lx, ly = tr.compare("logsum", s_geo, s_cross, t=t)
-        tr.compare("eq", lx[-1], ly[-1], "logdet", t=t)
+    means, spec, n = data.means, data.spec, data.dim
+    ts = spec.t_values
+    t_axis = np.array(ts)
+    s, _ = _grid_reads(spec, (means.geometric_spectrum, lambda t: means.product_spectrum(t, 1.0)))
+    with tr.chain():
+        lx, ly = tr.compare("logsum", s[:, 0], s[:, 1], t=t_axis)
+        tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=t_axis)
 
-    rb = means.power(1, 0.5)
-    lam_bab_half = eigenvalues_desc(symmetrize(rb @ a @ rb))
+    lam_bab_half = means.spectrum("bab_half")
     s_geo_mid = means.geometric_spectrum(0.5)
     tr.compare("KyFan", s_geo_mid, np.sqrt(lam_bab_half), t=0.5)
     tr.compare("KyFan", s_geo_mid**2, lam_bab_half, t=0.5)
 
-    lam_bab = eigenvalues_desc(symmetrize(b @ a @ b))
-    for t in spec.t_values:
-        tr.compare("KyFan", means.spectrum("bab_power", t), lam_bab**t, t=t)
+    lam_bab = means.spectrum("bab")
+    s = _spectra([means.spectrum("bab_power", t) for t in ts], len(ts), n)
+    tr.compare("KyFan", s, _spectra([lam_bab**t for t in ts], len(ts), n), t=t_axis)
 
 
 def _p14(data: InstanceData, tr: MarginTracker) -> None:
     """|||A^(1/2) X A^(1/2)||| <= |||(AX + XA)/2||| for symmetric X."""
-    a, x = data.a, data.x_sym
-    ra = data.means.power(0, 0.5)
-    lhs = _abs_desc(eigenvalues_desc(symmetrize(ra @ x @ ra)))
-    rhs = _abs_desc(eigenvalues_desc(symmetrize((a @ x + x @ a) * 0.5)))
-    tr.compare("KyFan", lhs, rhs)
+    means = data.means
+    lhs = _abs_desc(means.spectrum("x_congruence"))
+    tr.compare("KyFan", lhs, _abs_desc(means.spectrum("x_jordan")))
 
 
 def _p15(data: InstanceData, tr: MarginTracker) -> None:
@@ -535,12 +737,8 @@ def _p15(data: InstanceData, tr: MarginTracker) -> None:
         scale = 1.0 + float(np.max(np.abs(d)))
         tr.add(float(lam[-1]) / scale, t=t, norm_id="loewner:minlam", lhs=float(lam[-1]), rhs=0.0)
 
-    h = means.log(0)
-    k = means.log(1)
-    s_expsum = np.exp(sym_eigen(symmetrize(h + k), vectors=False).lam)
-    ek2 = sym_exp(k * 0.5)
-    s_prod = eigenvalues_desc(symmetrize(ek2 @ sym_exp(h) @ ek2))
-    tr.compare("KyFan", s_expsum, s_prod)
+    s_expsum = np.exp(means.spectrum("log_sum"))
+    tr.compare("KyFan", s_expsum, means.spectrum("exp_product"))
 
 
 _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
@@ -550,45 +748,43 @@ _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
 }
 
 
-def _reads(table, name: str, *axes) -> list[tuple]:
-    """Requests for ``table.spectrum(name, *args)`` over the grid of ``axes``."""
-    return [(table, name, args) for args in itertools.product(*axes)]
-
-
 def _spectra_read(d: InstanceData) -> dict[str, list[tuple]]:
-    """The table spectra each property reads on ``d``, as ``means.prefill`` requests.
+    """The table spectra each property reads on ``d``, as ``means.prefill`` grid entries.
 
-    run_campaign solves them in batches before any property runs, so each of
-    these reads hits the table; every other spectrum is solved where it is read.
+    Each entry ``(table, name, axes)`` names the reads
+    ``table.spectrum(name, *args)`` over the grid of ``axes``.  run_campaign
+    solves them in batches before any property runs, so each of these reads
+    hits the table; every other spectrum is solved where it is read.
     """
     m, mm, spec = d.means, d.multi_means, d.spec
     ts, ps = spec.t_values, spec.p_grid
     inner = [t for t in ts if t not in (0.0, 1.0)]  # the means are A or B at t = 0, 1
     pos = _positive_grid(spec)
-    geo = _reads(m, "geometric", ts)
-    log_euclidean = _reads(m, "power_aggregate", inner, (0.0,))
-    power = _reads(m, "power_aggregate", inner, pos)
-    sandwich = _reads(m, "sandwich_matrix", inner, pos)
+    geo = (m, "geometric", (ts,))
+    log_euclidean = (m, "power_aggregate", (inner, (0.0,)))
+    power = (m, "power_aggregate", (inner, pos))
+    sandwich = (m, "sandwich_matrix", (inner, pos))
     return {
-        "P1": _reads(m, "power_aggregate", inner, ps),
-        "P2": geo + log_euclidean + power,
-        "P3": geo + log_euclidean + sandwich + power,
-        "P4": geo + log_euclidean + _reads(m, "sandwich_matrix", inner, (1.0,))
-        + _reads(m, "cross_sym", ts) + _reads(m, "cross_gram", ts) + _reads(m, "arithmetic", inner),
-        "P5": geo + log_euclidean + sandwich + _reads(m, "product", inner, pos) + power,
+        "P1": [(m, "power_aggregate", (inner, ps))],
+        "P2": [geo, log_euclidean, power],
+        "P3": [geo, log_euclidean, sandwich, power],
+        "P4": [geo, log_euclidean, (m, "sandwich_matrix", (inner, (1.0,))),
+               (m, "cross_sym", (ts,)), (m, "cross_gram", (ts,)), (m, "arithmetic", (inner,))],
+        "P5": [geo, log_euclidean, sandwich, (m, "product", (inner, pos)), power],
         "P6": [],
-        "P7": _reads(m, "geometric", (0.5,)) + _reads(m, "sandwich_matrix", (0.5,), (1.0,)),
+        "P7": [(m, "geometric", ((0.5,),)), (m, "sandwich_matrix", ((0.5,), (1.0,)))],
         "P8": [],
-        "P9": _reads(mm, "power_aggregate", ps)
-        + _reads(mm, "power_sum", [p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS)),
-        "P10": _reads(mm, "power_aggregate", (0.0, *pos)),
-        "P11": _reads(m, "geometric", (0.5,)) + _reads(m, "cross_gram", (0.5,)),
-        "P12": _reads(m, "cross_gram", (0.5,))
-        + _reads(m, "power_aggregate", (0.5,), (0.5, *(p for p in ps if p >= 0.5))),
-        "P13": geo + _reads(m, "product", ts, (1.0,)) + _reads(m, "geometric", (0.5,))
-        + _reads(m, "bab_power", ts),
-        "P14": [],
-        "P15": _reads(m, "chord_gap", ts),
+        "P9": [(mm, "power_aggregate", (ps,)),
+               (mm, "power_sum", ([p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS),)),
+               (m, "multi_sum", ())],
+        "P10": [(mm, "power_aggregate", ((0.0, *pos),))],
+        "P11": [(m, "geometric", ((0.5,),)), (m, "cross_gram", ((0.5,),))],
+        "P12": [(m, "ab_gram", ()), (m, "pair_sum", ()), (m, "cross_gram", ((0.5,),)),
+                (m, "power_aggregate", ((0.5,), (0.5, *(p for p in ps if p >= 0.5))))],
+        "P13": [geo, (m, "product", (ts, (1.0,))), (m, "bab_half", ()), (m, "geometric", ((0.5,),)),
+                (m, "bab", ()), (m, "bab_power", (ts,))],
+        "P14": [(m, "x_congruence", ()), (m, "x_jordan", ())],
+        "P15": [(m, "chord_gap", (ts,)), (m, "log_sum", ()), (m, "exp_product", ())],
     }
 
 

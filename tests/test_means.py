@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matmeans.densela import pd_power, random_pd, sym_eigen, symmetrize
+from matmeans import means
+from matmeans.densela import pd_log, pd_power, random_pd, sym_eigen, symmetrize
 from matmeans.means import (
     MultiTable,
     PairTable,
@@ -346,3 +349,106 @@ def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector((-0.1, 1.1))
     assert len(WeightVector.coerce([0.5, 0.5])) == 2
+
+
+# --- stacked grid builds give the bits of the point-by-point builds -----------
+
+# numpy's power rounds differently from Python's x ** p for most exponents:
+# -4, -0.1, 0.375 and 4 among them.
+_EXPONENTS = (-4.0, -0.1, 0.0, 0.375, 1.0, 4.0)
+_TS = (0.0, 0.25, 0.5, 1.0)
+
+
+def _same_bits(stacked, build, points):
+    """The stacked build has the bits of ``build(*point)`` for each point, or it
+    raises and so does the build of some point (at cond 4 a matrix may not be
+    positive definite)."""
+    try:
+        stack = stacked(points)
+    except ValueError:
+        with pytest.raises(ValueError):
+            for point in points:
+                build(*point)
+        return
+    assert len(stack) == len(points)
+    for got, point in zip(stack, points):
+        want = build(*point)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.sampled_from([0.0, 1.5, 4.0]),
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from(_EXPONENTS), min_size=1, max_size=8),
+)
+def test_stacked_builds_are_the_point_builds_bitwise(n, cond, seed, exps):
+    a, b, c = (random_pd(n, cond, seed + i) for i in range(3))
+    grid_pair, pair = PairTable(a, b), PairTable(a, b)
+    xs = [(x,) for x in exps]
+    for i in (0, 1):
+        _same_bits(
+            lambda pts: means._power_stack(grid_pair.eig(i), exps),
+            lambda x: pd_power(pair.eig(i), x),
+            xs,
+        )
+        _same_bits(
+            lambda pts: means._power_stack(grid_pair.eig(i), exps, log=True),
+            lambda x: pd_log(pair.eig(i)) if x == 0.0 else pd_power(pair.eig(i), x),
+            xs,
+        )
+    tp = [(t, p) for t in _TS for p in exps]
+    _same_bits(grid_pair._grid_power_aggregate, pair.power_aggregate, tp)
+    _same_bits(grid_pair._grid_product, pair.product, tp)
+    _same_bits(grid_pair._grid_geometric, pair.geometric, [(t,) for t in _TS])
+    pos = [(t, p) for t, p in tp if p > 0.0]
+    _same_bits(grid_pair._grid_sandwich_matrix, pair.sandwich_matrix, pos)
+
+    weights = (0.2, 0.3, 0.5)
+    grid_multi, multi = MultiTable((a, b, c), weights), MultiTable((a, b, c), weights)
+    _same_bits(grid_multi._grid_power_aggregate, multi.power_aggregate, xs)
+    _same_bits(grid_multi._grid_power_sum, multi.power_sum, xs)
+
+
+def _reads(table):
+    """Every spectrum read of the stacked entries, with its value or error text."""
+    out = []
+    for t in (0.25, 0.5):
+        for name, args in (("geometric", (t,)), ("power_aggregate", (t, 0.0)),
+                           ("sandwich_matrix", (t, 4.0)), ("product", (t, -4.0))):
+            try:
+                out.append(table.spectrum(name, *args).tobytes())
+            except Exception as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        np.diag([2.0, -1.0, 1.0]),  # not positive definite
+        np.diag([1e90, 1.0, 3.0]),  # B^4 overflows: a non-finite power
+        np.diag([1e9, 1.0, 1e-9]),  # sandwich past the range limit: the factor form
+    ],
+)
+def test_prefill_of_a_grid_that_cannot_stack_reads_as_a_fresh_table(b):
+    a = random_pd(3, 1.0, 9)
+    table = PairTable(a, b)
+    axes = ((0.25, 0.5), (0.0, 4.0, -4.0))
+    names = ("power_aggregate", "sandwich_matrix", "product")
+    means.prefill([(table, name, axes) for name in names] + [(table, "geometric", (axes[0],))])
+    assert _reads(table) == _reads(PairTable(a, b))
+
+
+def test_prefill_of_a_multi_grid_with_a_non_pd_member_reads_as_a_fresh_table():
+    mats = (random_pd(3, 1.0, 1), np.diag([1.0, 0.0, 2.0]), random_pd(3, 1.0, 2))
+    table = MultiTable(mats, (0.2, 0.3, 0.5))
+    means.prefill([(table, "power_aggregate", ((0.0, 1.0),)), (table, "power_sum", ((1.0,),))])
+    fresh = MultiTable(mats, (0.2, 0.3, 0.5))
+    for read in (lambda tb: tb.power_mean_spectrum(1.0), lambda tb: tb.power_sum_spectrum(1.0)):
+        with pytest.raises(ValueError) as got:
+            read(table)
+        with pytest.raises(ValueError) as want:
+            read(fresh)
+        assert str(got.value) == str(want.value)

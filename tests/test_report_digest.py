@@ -13,6 +13,10 @@ From n = 8 on, a cumsum total and `np.sum` round differently for about
 half of random vectors, so `dim8` pins the cumsum total as the scale of
 the majorization margins; it was taken before those margins moved into
 `spectra`.
+The `ties` run has exact 0.0/-0.0 margins at t = 0 and t = 1, where the
+recording order (t, then p, then link, then k) picks the witness; the
+`grids` run takes a p grid without the default points and two interior
+t values, and `ends` only the endpoints t = 0 and t = 1.
 """
 
 import hashlib
@@ -47,6 +51,21 @@ PINNED = {
         ["--seed", "1", "--count", "1", "--dims", "8", "--props", "P8"],
         0,
         "cbee6b3a4a9575bc215d7cfa2e9068aad1c44247b5b466c7d9f09087b91fd5a6",
+    ),
+    "ties": (
+        ["--cond", "4", "--seed", "31", "--count", "16"],
+        1,
+        "6e1e6e9b2da68416fde16493b1f32550a438053addd976f4560d96ee236a3f38",
+    ),
+    "grids": (
+        ["--seed", "4", "--count", "12", "--p-grid", "-3,-1,0,0.3,2", "--t", "0.1,0.9"],
+        0,
+        "7b7a17d42ccd3655b4fc1ba35e720c090e5f64c3f846c5df1e8148c8484170a8",
+    ),
+    "ends": (
+        ["--seed", "6", "--count", "12", "--t", "0,1"],
+        0,
+        "8e99fe3c4fe2a64a6d7e1d0a217154f20c6d3de2f0d5108e10b9e0af17707e9b",
     ),
 }
 

@@ -386,3 +386,163 @@ def test_p8_has_no_errors_at_cond_4():
 def test_p8_runs_at_dimension_10():
     rep = run_campaign(CampaignConfig(master_seed=1, count=1, dims=(10,), properties=("P8",)))
     assert [(r.dim, r.status) for r in rep.results] == [(10, "pass")]
+
+
+# --- grid compares record what one compare per point records -------------------
+
+
+def _sequential_compare(tr, kind, lhs, rhs, label=None, *, t=None, p=None):
+    """One compare of one grid point, with the margin formulas as first written."""
+    l = np.asarray(lhs, dtype=float)
+    r = np.asarray(rhs, dtype=float)
+    if kind == "logsum":
+        l = np.cumsum(np.log(np.maximum(l, spectra.LOG_CLAMP)))
+        r = np.cumsum(np.log(np.maximum(r, spectra.LOG_CLAMP)))
+    elif kind in ("KyFan", "sum"):
+        l, r = np.cumsum(l), np.cumsum(r)
+    if kind in ("sum", "logsum"):
+        scale = 1.0 + max(abs(float(l[-1])), abs(float(r[-1])))
+    else:
+        scale = 1.0 + np.maximum(np.abs(l), np.abs(r))
+    margins = (-np.abs(l - r) if kind == "eq" else r - l) / scale
+    label = label or kind
+    if l.ndim == 0:
+        tr.add(margins, t=t, p=p, norm_id=label, lhs=float(l), rhs=float(r))
+        return
+    for k, (m, lv, rv) in enumerate(zip(margins.tolist(), l.tolist(), r.tolist()), 1):
+        tr.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
+
+
+def _state(tr):
+    def witness(w):
+        if w is None:
+            return None
+        return (w.t, w.p, w.norm_id, _bits([math.nan if v is None else v for v in (w.lhs, w.rhs)]))
+
+    return _bits([tr.worst]), witness(tr.witness), witness(tr.nan_witness), tr.count
+
+
+# Few distinct values, so margins tie across points and links, exactly 0.0 or
+# -0.0 among them, and NaN or infinite entries give NaN prefix totals.
+_GRID_ENTRY = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 1e-300, math.nan, math.inf])
+_T_AXIS = (0.0, 0.5, 1.0)
+_P_AXIS = (-1.0, 0.0, 2.0)
+
+
+@st.composite
+def _grid_chain(draw):
+    """A chain of t-only links, then (t, p) links, over a (T, P) grid of K-vectors."""
+    n_t, n_p, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    links = []
+    for shape in [(n_t,)] * draw(st.integers(0, 2)) + [(n_t, n_p)] * draw(st.integers(1, 3)):
+        kind = draw(st.sampled_from(suite._KINDS))
+        scalar = kind in ("leq", "eq") and draw(st.booleans())
+        full = shape if scalar else (*shape, k)
+        size = math.prod(full)
+        if draw(st.booleans()):  # one value throughout: all ties, or all NaN
+            lhs = [draw(_GRID_ENTRY)] * size
+            rhs = [draw(_GRID_ENTRY)] * size
+        else:
+            lhs = draw(st.lists(_GRID_ENTRY, min_size=size, max_size=size))
+            rhs = draw(st.lists(_GRID_ENTRY, min_size=size, max_size=size))
+        links.append((kind, np.reshape(lhs, full), np.reshape(rhs, full), len(shape)))
+    return n_t, n_p, links
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grid_chain(), st.sampled_from([math.inf, 0.0, -0.5]))
+def test_grid_compare_records_what_sequential_compares_record(chain, worst_before):
+    n_t, n_p, links = chain
+    ts, ps = np.array(_T_AXIS[:n_t]), np.array(_P_AXIS[:n_p])
+    grid, seq = MarginTracker(), MarginTracker()
+    for tr in (grid, seq):  # a margin recorded before the chain
+        tr.add(worst_before, norm_id="before", lhs=0.0, rhs=0.0)
+    with np.errstate(all="ignore"):
+        with grid.chain():
+            for kind, lhs, rhs, rank in links:
+                where = {"t": ts} if rank == 1 else {"t": ts[:, None], "p": ps}
+                grid.compare(kind, lhs, rhs, kind + "-link", **where)
+        for i in range(n_t):
+            for kind, lhs, rhs, rank in links:
+                if rank == 1:
+                    _sequential_compare(seq, kind, lhs[i], rhs[i], kind + "-link", t=ts[i].item())
+            for j in range(n_p):
+                for kind, lhs, rhs, rank in links:
+                    if rank == 2:
+                        _sequential_compare(
+                            seq, kind, lhs[i, j], rhs[i, j], kind + "-link",
+                            t=ts[i].item(), p=ps[j].item(),
+                        )
+    assert _state(grid) == _state(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_chain())
+def test_one_grid_compare_records_in_c_order(chain):
+    # Outside a chain a grid compare is recorded at once, point by point in C order.
+    n_t, n_p, links = chain
+    ts, ps = np.array(_T_AXIS[:n_t]), np.array(_P_AXIS[:n_p])
+    grid, seq = MarginTracker(), MarginTracker()
+    with np.errstate(all="ignore"):
+        for kind, lhs, rhs, rank in links:
+            if rank == 1:
+                grid.compare(kind, lhs, rhs, t=ts)
+                for i in range(n_t):
+                    _sequential_compare(seq, kind, lhs[i], rhs[i], t=ts[i].item())
+            else:
+                grid.compare(kind, lhs, rhs, p=ps, t=ts[:, None])
+                for i in range(n_t):
+                    for j in range(n_p):
+                        _sequential_compare(
+                            seq, kind, lhs[i, j], rhs[i, j], t=ts[i].item(), p=ps[j].item()
+                        )
+    assert _state(grid) == _state(seq)
+
+
+def test_grid_compare_ties_go_to_the_earliest_point_then_link():
+    # At t = 0 the second link ties the first link's margin at t = 1; t comes first.
+    tr = MarginTracker()
+    with tr.chain():
+        tr.compare("leq", [[1.0], [1.0]], [[1.0], [2.0]], "first", t=np.array([1.0, 0.0]))
+        tr.compare("leq", [[2.0], [1.0]], [[2.0], [3.0]], "second", t=np.array([1.0, 0.0]))
+    assert (tr.worst, tr.witness.t, tr.witness.norm_id) == (0.0, 1.0, "first:1")
+    tr = MarginTracker()
+    with tr.chain():
+        tr.compare("leq", [[1.0], [1.0]], [[2.0], [1.0]], "first", t=np.array([1.0, 0.0]))
+        tr.compare("leq", [[1.0], [1.0]], [[1.0], [1.0]], "second", t=np.array([1.0, 0.0]))
+    assert (tr.witness.t, tr.witness.norm_id) == (1.0, "second:1")
+
+
+def test_grid_compare_nan_totals_scale_as_python_max():
+    # max(nan, x) is nan but max(x, nan) is x: a NaN rhs total leaves a finite scale.
+    seq = MarginTracker()
+    _sequential_compare(seq, "sum", [1.0, 2.0], [1.0, math.nan], p=1.0)
+    tr = MarginTracker()
+    tr.compare("sum", [[1.0, 2.0]], [[1.0, math.nan]], p=np.array([1.0]))
+    assert _state(tr)[:3] == _state(seq)[:3] and tr.worst == 0.0
+
+
+def test_empty_grid_compare_records_nothing():
+    tr = MarginTracker()
+    with tr.chain():
+        tr.compare("KyFan", np.zeros((0, 3)), np.zeros((0, 3)), t=np.array([]))
+        tr.compare("eq", np.zeros((0, 2)), np.zeros((0, 2)), t=np.zeros((0, 1)), p=np.zeros(2))
+    tr.compare("leq", np.zeros((2, 0, 3)), np.zeros((2, 0, 3)), t=np.zeros((2, 1)), p=np.zeros(0))
+    assert (tr.count, tr.worst, tr.witness, tr.nan_witness) == (0, math.inf, suite.Witness(), None)
+
+
+# Sub-inequalities per property over the first default chunk (master seed 1,
+# 32 instances), as counted before the properties compared whole grids.
+_SUBINEQ_DEFAULT_CHUNK = {
+    "P1": 7200, "P2": 4320, "P3": 7920, "P4": 3600, "P5": 12480, "P6": 96, "P7": 384,
+    "P8": 144, "P9": 2304, "P10": 720, "P11": 208, "P12": 864, "P13": 1888, "P14": 144,
+    "P15": 304,
+}
+
+
+def test_grid_properties_check_as_many_subinequalities():
+    rep = run_campaign(CampaignConfig(master_seed=1, count=suite._CHUNK))
+    totals = dict.fromkeys(PROPERTY_IDS, 0)
+    for res in rep.results:
+        totals[res.property_id] += res.subineq
+    assert totals == _SUBINEQ_DEFAULT_CHUNK

@@ -180,7 +180,7 @@ def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_e
 
 
 @pytest.mark.parametrize(
-    "properties", [suite.PROPERTY_IDS, ("P8", "P14"), ("P2", "P9", "P13")]
+    "properties", [suite.PROPERTY_IDS, ("P6", "P8"), ("P2", "P9", "P13")]
 )
 def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
     chunk = _chunk(1.5)
@@ -204,7 +204,7 @@ def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
         for pid in properties:
             evaluate_property(pid, data)
     assert prefilled <= read
-    assert bool(prefilled) == (properties != ("P8", "P14"))
+    assert bool(prefilled) == (properties != ("P6", "P8"))
 
 
 @pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
