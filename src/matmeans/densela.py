@@ -103,9 +103,14 @@ def require_symmetric(x, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(x) -> np.ndarray:
-    """(X + X.T) / 2 for a square matrix."""
-    a = as_square_matrix(x)
-    return (a + a.T) * 0.5
+    """(X + X.T) / 2 for a square matrix, or for each matrix of a stack on the last two axes."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 3:
+        a = as_square_matrix(a)
+        return (a + a.T) * 0.5
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return (a + a.transpose(0, 2, 1)) * 0.5
 
 
 @dataclass(frozen=True)
@@ -315,8 +320,7 @@ def sym_eigen_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
     for i in np.flatnonzero(bad).tolist():
         out[i] = _try_sym_eigen(mats[i], max_sweeps)
     idx = np.flatnonzero(~bad)
-    a = stack[idx]
-    a = (a + a.transpose(0, 2, 1)) * 0.5
+    a = symmetrize(stack[idx])
     thr = JACOBI_OFF_REL * np.sqrt((a * a).reshape(len(idx), -1).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, e in zip(idx.tolist(), _sweep_stack(a, thr, max_sweeps)):
@@ -423,13 +427,37 @@ def _eigen(a) -> EigenDecomposition:
     return a if isinstance(a, EigenDecomposition) else sym_eigen(a)
 
 
-def pd_power(a, p: float) -> np.ndarray:
-    """Real matrix power of a positive definite matrix.
+def pd_power(a, p) -> np.ndarray:
+    """Real matrix power of a positive definite matrix, or the stack of its powers.
 
     ``a`` is the matrix or its :class:`EigenDecomposition`, which saves the
-    decomposition.  Defined for every real exponent; p = 0 yields the
-    identity.
+    decomposition.  ``p`` is a real exponent, for which p = 0 yields the
+    identity, or a list or tuple of exponents, for which the result stacks
+    ``pd_power(a, x)`` for each x in order, with the bits of those calls,
+    and raises what the first of them to fail raises.  The stack applies
+    the Python scalar ``x ** p`` to the eigenvalues, as the scalar form
+    does, because numpy's ``power`` rounds differently, and stacked
+    ``matmul`` gives the bits of the 2-D product.
     """
+    if isinstance(p, (list, tuple)):
+        uniq = dict.fromkeys(p)
+        vals = None
+        if all(map(math.isfinite, uniq)):
+            e = _eigen(a)
+            if e.q is not None and _pd_eigs_ok(e.lam):
+                lam = e.lam.tolist()
+                try:
+                    vals = np.array([[v**x for v in lam] for x in uniq]).reshape(len(uniq), e.n)
+                except OverflowError:
+                    pass
+        if vals is None or not np.isfinite(vals).all():
+            # Make the calls one by one, so the first to fail raises its own error.
+            return np.array([pd_power(a, x) for x in p])
+        m = symmetrize((e.q * vals[:, None, :]) @ e.q.T)
+        if 0.0 in uniq:
+            m[list(uniq).index(0.0)] = np.eye(e.n)
+        pos = {x: j for j, x in enumerate(uniq)}
+        return m if len(pos) == len(p) else m[[pos[x] for x in p]]
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p!r}")
     e = _eigen(a)
@@ -464,11 +492,19 @@ def singular_values(x) -> np.ndarray:
 
     Eigenvalues of x.T x are clamped at zero before the square root.
     """
+    return _gram_roots(sym_eigen(_gram(x), vectors=False).lam)
+
+
+def _gram(x) -> np.ndarray:
+    """x.T x of a square matrix with finite entries, symmetrized."""
     a = as_square_matrix(x)
     g = a.T @ a
-    e = sym_eigen((g + g.T) * 0.5, vectors=False)
-    vals = np.sqrt(np.maximum(e.lam, 0.0))
-    return np.asarray(vals)
+    return (g + g.T) * 0.5
+
+
+def _gram_roots(lam: np.ndarray) -> np.ndarray:
+    """The singular values of x from the descending spectrum ``lam`` of ``_gram(x)``."""
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def require_pd(a, name: str = "matrix") -> np.ndarray:

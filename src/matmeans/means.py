@@ -17,18 +17,17 @@ use.  The property suite keeps one table per instance; each public
 function checks its scalar arguments and reads one entry of a fresh table.
 
 Every spectrum-only solve of a table matrix is a read of one entry,
-``spectrum(name, *args)``, named after the method that builds the matrix.
+``spectrum(name, *args)``, named after the matrix.  A matrix that the
+checks read over a grid, such as the power aggregate over (t, p), has one
+builder, the table's ``_grid_<name>(points)``, which returns the stack of
+that matrix at every point; a read of one point takes entry 0 of a
+one-point grid.  The powers over a whole exponent list come from one
+``pd_power`` call, weighted sums are added in index order and products
+are stacked ``matmul``s, which give the bits of the 2-D forms.
 :func:`prefill` builds many such matrices ahead of their reads, solves
 them by order with ``sym_eigen_batch`` and stores each result, or error,
 where its read would store it; the reads stay as they are and return the
-same bits.  The grid of one entry, such as every power aggregate over
-(t, p), is built as one stack by the table's ``_grid_<name>(points)``:
-the powers over the whole exponent list are assembled at once as
-(q * vals) @ q.T, weighted sums are added in index order and products are
-stacked ``matmul``s, which give the bits of the 2-D forms.  The eigenvalue
-functions stay Python scalar calls (``x ** p``, ``math.log``), because
-numpy's ``power`` and ``log`` round differently on a few percent of
-inputs.  Only the spectra are kept, not the matrices.
+same bits.  Only the spectra are kept, not the matrices.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ import numpy as np
 
 from .densela import (
     EigenDecomposition,
-    as_square_matrix,
+    _gram,
+    _gram_roots,
     pd_log,
     pd_power,
     require_pd_eigen,
@@ -139,44 +139,6 @@ def _root_spectrum(lam: np.ndarray, p: float, what: str) -> np.ndarray:
     return np.sort(lam ** (1.0 / p))[::-1]
 
 
-def _power_stack(e: EigenDecomposition, exps, log: bool = False) -> np.ndarray:
-    """``pd_power(e, x)`` for each x in ``exps``, stacked in order (``pd_log(e)`` at x = 0
-    when ``log``).
-
-    The same bits as those calls: the eigenvalue functions are Python scalar
-    calls, as in ``EigenDecomposition.apply``, because numpy's ``power``,
-    ``log`` and ``exp`` round differently, and stacked ``matmul`` gives the
-    bits of the 2-D product.  Raises ``ValueError`` where those calls would
-    raise, with another text; the caller then builds point by point.
-    """
-    require_pd_eigen(e)
-    lam = e.lam.tolist()
-    uniq = dict.fromkeys(exps)
-    try:
-        vals = np.array([
-            [math.log(v) for v in lam] if x == 0.0 and log else [v**x for v in lam]
-            for x in uniq
-        ])
-    except OverflowError as exc:
-        raise ValueError("non-finite power") from exc
-    if not np.isfinite(vals).all():
-        raise ValueError("non-finite power")
-    m = (e.q * vals[:, None, :]) @ e.q.T
-    m = (m + m.transpose(0, 2, 1)) * 0.5
-    for j, x in enumerate(uniq):
-        if x == 0.0 and not log:
-            m[j] = np.eye(e.n)
-    pos = {x: j for j, x in enumerate(uniq)}
-    return m[[pos[x] for x in exps]]
-
-
-def _symmetrize_stack(x: np.ndarray) -> np.ndarray:
-    """``symmetrize`` of each matrix in a stack; raises if any entry is not finite."""
-    if not np.isfinite(x).all():
-        raise ValueError("matrix has non-finite entries")
-    return (x + x.transpose(0, 2, 1)) * 0.5
-
-
 def _entry(method):
     """A table entry: computed on its first read for given arguments, then reused.
 
@@ -210,8 +172,10 @@ class _Factored:
     Matrix i is decomposed once, with eigenvectors, for its validation, its
     powers and its logarithm; ``power`` and ``log`` have the checks of
     ``pd_power`` and ``pd_log``.  A grid builder ``_grid_<name>(points)``
-    returns the matrices ``<name>(*point)`` for every point, bit for bit,
-    or raises if any of them would.
+    is the one builder of the table matrix ``name``: it returns the stack
+    of that matrix at every point, or raises if the build of some point
+    raises.  A read of one such matrix takes entry 0 of a one-point grid,
+    whose error is that point's own.
     """
 
     def __init__(self, mats: Sequence):
@@ -230,27 +194,41 @@ class _Factored:
     def log(self, i: int) -> np.ndarray:
         return pd_log(self.eig(i))
 
-    def _aggregate(self, weights: tuple[float, ...], p: float) -> np.ndarray:
-        """sum_i w_i A_i^p (sum_i w_i log A_i at p = 0), added in index order from
-        the first term, not from 0, so a pair's sum is the expression (1-t) X + t Y."""
-        term = self.log if p == 0.0 else (lambda i: self.power(i, p))
-        terms = (w * term(i) for i, w in enumerate(weights))
-        return symmetrize(functools.reduce(operator.add, terms))
+    def _powers(self, i: int, exps: list) -> np.ndarray:
+        """A_i^x for each x in ``exps``, stacked, with log A_i at x = 0.
+
+        The logarithm is read first, so that at x = 0 alone the error is ``pd_log``'s.
+        """
+        log = self.log(i) if 0.0 in exps else None
+        m = pd_power(self.eig(i), exps)
+        if log is not None:
+            m[[x == 0.0 for x in exps]] = log
+        return m
 
     def _aggregate_grid(self, weights: list, exps: list) -> np.ndarray:
-        """``_aggregate(weights[j], exps[j])`` for every j, stacked, added in the same order."""
+        """sum_i w_i A_i^p (sum_i w_i log A_i at p = 0) for each weight row w and
+        exponent p, stacked; added in index order from the first term, not from
+        0, so a pair's sum is the expression (1-t) X + t Y."""
         w = np.array(weights)[:, :, None, None]
-        terms = (w[:, i] * _power_stack(self.eig(i), exps, log=True) for i in range(w.shape[1]))
-        return _symmetrize_stack(functools.reduce(operator.add, terms))
+        terms = (w[:, i] * self._powers(i, exps) for i in range(w.shape[1]))
+        return symmetrize(functools.reduce(operator.add, terms))
+
+    def _grid(self, name: str, points: list):
+        """The table matrix ``name`` at each of ``points``: its grid builder, or
+        ``getattr(self, name)(*point)`` per point for a matrix without one."""
+        grid = getattr(self, f"_grid_{name}", None)
+        if grid is None:
+            return [getattr(self, name)(*args) for args in points]
+        return grid(points)
 
     @_entry
     def spectrum(self, name: str, *args) -> np.ndarray:
-        """Descending eigenvalues of the table matrix ``getattr(self, name)(*args)``.
+        """Descending eigenvalues of the table matrix ``name`` at ``args``.
 
         Every spectrum-only solve of a table matrix is a read of this entry,
         so :func:`prefill` can solve many of them in one batch beforehand.
         """
-        return sym_eigen(getattr(self, name)(*args), vectors=False).lam
+        return sym_eigen(self._grid(name, [args])[0], vectors=False).lam
 
     def _require_pd(self, i: int, name: str) -> np.ndarray:
         """``require_pd`` of matrix i, on its decomposition ``eig(i)``."""
@@ -307,22 +285,19 @@ class PairTable(_Factored):
 
     @_entry
     def geometric(self, t: float) -> np.ndarray:
-        rh, ec = self._congruence()
-        return symmetrize(rh @ pd_power(ec, t) @ rh)
+        return self._grid_geometric([(t,)])[0]
 
     def _grid_geometric(self, points) -> np.ndarray:
+        """A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} for each (t,)."""
         rh, ec = self._congruence()
-        return _symmetrize_stack(rh @ _power_stack(ec, [t for t, in points]) @ rh)
+        return symmetrize(rh @ pd_power(ec, [t for t, in points]) @ rh)
 
     @_entry
     def geometric_spectrum(self, t: float) -> np.ndarray:
         return np.array(self.spectrum("geometric", t))
 
-    def power_aggregate(self, t: float, p: float) -> np.ndarray:
-        """(1-t) A^p + t B^p, or (1-t) log A + t log B at p = 0."""
-        return self._aggregate((1.0 - t, t), p)
-
     def _grid_power_aggregate(self, points) -> np.ndarray:
+        """(1-t) A^p + t B^p, or (1-t) log A + t log B at p = 0, for each (t, p)."""
         return self._aggregate_grid([(1.0 - t, t) for t, _ in points], [p for _, p in points])
 
     @_entry
@@ -330,7 +305,7 @@ class PairTable(_Factored):
         end = self._end(t)
         if end is not None:
             return self.checked()[end].copy()
-        return _root(self.power_aggregate(t, p), p, self._AGGREGATE)
+        return _root(self._grid_power_aggregate([(t, p)])[0], p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, t: float, p: float) -> np.ndarray:
@@ -357,21 +332,25 @@ class PairTable(_Factored):
             return self.eig(end).lam
         return self.spectrum("arithmetic", t)
 
-    def _sandwich_aggregate(self, t: float, p: float) -> np.ndarray:
-        bt = self.power(1, t * p / 2.0)
-        return symmetrize(bt @ self.power(0, (1.0 - t) * p) @ bt)
+    def _grid_sandwich_aggregate(self, points) -> np.ndarray:
+        """B^{tp/2} A^{(1-t)p} B^{tp/2} for each (t, p)."""
+        bt = pd_power(self.eig(1), [t * p / 2.0 for t, p in points])
+        return symmetrize(bt @ pd_power(self.eig(0), [(1.0 - t) * p for t, p in points]) @ bt)
 
     def _grid_sandwich_matrix(self, points) -> list:
-        """The sandwich aggregates stacked; the factor-form blocks point by point."""
-        self.checked()
+        """The matrices whose spectra give ``sandwich_mean_spectrum(t, p)``.
+
+        Each is the sandwich aggregate, or past the range limit the block
+        matrix [[0, H], [H.T, 0]] of H = B^{tp/2} A^{(1-t)p/2}: its spectrum
+        is (+sigma, -sigma), and the squared singular values sigma^2 of H
+        are the eigenvalues of the aggregate.  The aggregates are stacked,
+        the blocks built point by point.
+        """
+        self.checked()  # as every reader does; the range needs positive spectra
         factor = [self._sandwich_via_factor(t, p) for t, p in points]
         agg = [pt for pt, f in zip(points, factor) if not f]
-        stack = iter(())
-        if agg:
-            bt = _power_stack(self.eig(1), [t * p / 2.0 for t, p in agg])
-            ap = _power_stack(self.eig(0), [(1.0 - t) * p for t, p in agg])
-            stack = iter(_symmetrize_stack(bt @ ap @ bt))
-        return [self.sandwich_matrix(*pt) if f else next(stack) for pt, f in zip(points, factor)]
+        stack = iter(self._grid_sandwich_aggregate(agg) if agg else ())
+        return [self._sandwich_block(*pt) if f else next(stack) for pt, f in zip(points, factor)]
 
     def _sandwich_via_factor(self, t: float, p: float) -> bool:
         """Whether the eigenvalue range of the sandwich aggregate is past the limit."""
@@ -381,20 +360,9 @@ class PairTable(_Factored):
             t * p
         ) * math.log10(float(lb[0] / lb[-1])) > _SANDWICH_RANGE_LOG10_LIMIT
 
-    def sandwich_matrix(self, t: float, p: float) -> np.ndarray:
-        """The matrix whose spectrum gives ``sandwich_mean_spectrum(t, p)``.
-
-        It is the sandwich aggregate, or past the range limit the block
-        matrix [[0, H], [H.T, 0]] of H = B^{tp/2} A^{(1-t)p/2}: its spectrum
-        is (+sigma, -sigma), and the squared singular values sigma^2 of H
-        are the eigenvalues of the aggregate.
-        """
-        self.checked()  # as every reader does; the range needs positive spectra
-        if not self._sandwich_via_factor(t, p):
-            return self._sandwich_aggregate(t, p)
+    def _sandwich_block(self, t: float, p: float) -> np.ndarray:
         h = self.power(1, t * p / 2.0) @ self.power(0, (1.0 - t) * p / 2.0)
-        n = h.shape[0]
-        z = np.zeros((n, n))
+        z = np.zeros(h.shape)
         return np.block([[z, h], [h.T, z]])
 
     @_entry
@@ -403,7 +371,7 @@ class PairTable(_Factored):
         end = self._end(t)
         if end is not None:
             return self.checked()[end].copy()
-        return _root(self._sandwich_aggregate(t, p), p, "sandwich aggregate")
+        return _root(self._grid_sandwich_aggregate([(t, p)])[0], p, "sandwich aggregate")
 
     @_entry
     def sandwich_mean_spectrum(self, t: float, p: float) -> np.ndarray:
@@ -428,29 +396,24 @@ class PairTable(_Factored):
 
     def cross_gram(self, t: float) -> np.ndarray:
         """X^T X of the cross term X, formed as ``singular_values`` forms it."""
-        x = as_square_matrix(self.cross(t))
-        g = x.T @ x
-        return (g + g.T) * 0.5
+        return _gram(self.cross(t))
 
     @_entry
     def cross_singular_values(self, t: float) -> np.ndarray:
         """Descending singular values of the cross term A^{1-t} B^t, as ``singular_values``."""
-        return np.sqrt(np.maximum(self.spectrum("cross_gram", t), 0.0))
+        return _gram_roots(self.spectrum("cross_gram", t))
 
-    def product(self, t: float, p: float) -> np.ndarray:
-        """A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}, similar to the product A^{(1-t)p} B^{tp}.
+    def _grid_product(self, points) -> np.ndarray:
+        """A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}, similar to the product A^{(1-t)p} B^{tp},
+        for each (t, p).
 
         Only the powers are checked, as ``pd_power`` checks them.
         """
-        ah = self.power(0, (1.0 - t) * p / 2.0)
-        return symmetrize(ah @ self.power(1, t * p) @ ah)
-
-    def _grid_product(self, points) -> np.ndarray:
-        ah = _power_stack(self.eig(0), [(1.0 - t) * p / 2.0 for t, p in points])
-        return _symmetrize_stack(ah @ _power_stack(self.eig(1), [t * p for t, p in points]) @ ah)
+        ah = pd_power(self.eig(0), [(1.0 - t) * p / 2.0 for t, p in points])
+        return symmetrize(ah @ pd_power(self.eig(1), [t * p for t, p in points]) @ ah)
 
     def product_spectrum(self, t: float, p: float) -> np.ndarray:
-        """Descending eigenvalues of ``product(t, p)``."""
+        """Descending eigenvalues of the product form at (t, p)."""
         return self.spectrum("product", t, p)
 
     def bab_power(self, t: float) -> np.ndarray:
@@ -490,31 +453,25 @@ class MultiTable(_Factored):
                 raise ValueError(f"dimension mismatch at matrix {i}: {m.shape} vs {shape}")
         return w
 
-    def power_aggregate(self, p: float) -> np.ndarray:
-        """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0."""
-        return self._aggregate(self.checked().alphas, p)
-
     def _grid_power_aggregate(self, points) -> np.ndarray:
+        """sum_i alpha_i A_i^p, or sum_i alpha_i log A_i at p = 0, for each (p,)."""
         alphas = self.checked().alphas
         return self._aggregate_grid([alphas] * len(points), [p for p, in points])
 
     @_entry
     def power_mean(self, p: float) -> np.ndarray:
-        return _root(self.power_aggregate(p), p, self._AGGREGATE)
+        return _root(self._grid_power_aggregate([(p,)])[0], p, self._AGGREGATE)
 
     @_entry
     def power_mean_spectrum(self, p: float) -> np.ndarray:
         return _root_spectrum(self.spectrum("power_aggregate", p), p, self._AGGREGATE)
 
-    def power_sum(self, p: float) -> np.ndarray:
-        """sum_i A_i^p (sum_i log A_i at p = 0); only the powers are checked."""
-        return self._aggregate((1.0,) * len(self._mats), p)
-
     def _grid_power_sum(self, points) -> np.ndarray:
+        """sum_i A_i^p (sum_i log A_i at p = 0) for each (p,); only the powers are checked."""
         return self._aggregate_grid([(1.0,) * len(self._mats)] * len(points), [p for p, in points])
 
     def power_sum_spectrum(self, p: float) -> np.ndarray:
-        """Descending eigenvalues of ``power_sum(p)``."""
+        """Descending eigenvalues of sum_i A_i^p (sum_i log A_i at p = 0)."""
         return self.spectrum("power_sum", p)
 
 
@@ -524,13 +481,13 @@ def prefill(requests) -> None:
     Each request ``(table, name, axes)`` names the reads
     ``table.spectrum(name, *args)`` for ``args`` over the grid
     ``itertools.product(*axes)``.  The matrices of one table entry are built
-    as one stack by its grid builder ``_grid_<name>``, where it has one, and
-    point by point through the entry otherwise, or when the grid builder
-    raises because some point would.  They are stacked by order and solved
-    by ``sym_eigen_batch``, and each spectrum, or the error its solve
-    raised, is stored where its read stores it; the read then returns the
-    same bits.  A matrix whose own build raised is left to its read, which
-    raises the same error after the checks that precede it.
+    as one grid, by its grid builder ``_grid_<name>`` where it has one, and
+    one point at a time when the grid raises because some point does.  They
+    are stacked by order and solved by ``sym_eigen_batch``, and each
+    spectrum, or the error its solve raised, is stored where its read
+    stores it; the read then returns the same bits.  A matrix whose own
+    build raised is left to its read, which raises the same error after
+    the checks that precede it.
     """
     groups: dict[tuple, tuple] = {}
     for table, name, axes in requests:
@@ -551,17 +508,17 @@ def prefill(requests) -> None:
 
 
 def _build(table, name: str, points: list) -> list:
-    """``(args, getattr(table, name)(*args))`` for each of ``points`` whose build succeeds."""
-    grid = getattr(table, f"_grid_{name}", None)
-    if grid is not None and points:
-        try:
-            return list(zip(points, grid(points)))
-        except Exception:  # some point raises: each is built, or raises, on its own
-            pass
+    """``(args, m)`` for each of ``points`` whose matrix ``m`` builds."""
+    if not points:
+        return []
+    try:
+        return list(zip(points, table._grid(name, points)))
+    except Exception:  # some point raises: each is built, or raises, on its own
+        pass
     built = []
     for args in points:
         try:
-            built.append((args, getattr(table, name)(*args)))
+            built.append((args, table._grid(name, [args])[0]))
         except Exception:  # the read raises it again, in its own place
             continue
     return built

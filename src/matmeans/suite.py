@@ -40,7 +40,8 @@ import numpy as np
 
 from .compound import compound_matrix
 from .densela import (
-    as_square_matrix,
+    _gram,
+    _gram_roots,
     random_pd,
     sym_eigen,
     sym_exp,
@@ -196,9 +197,7 @@ class _InstanceTable(PairTable):
 
     def ab_gram(self) -> np.ndarray:
         """X^T X of X = AB, formed as ``singular_values`` forms it (P12)."""
-        x = as_square_matrix(self._mats[0] @ self._mats[1])
-        g = x.T @ x
-        return (g + g.T) * 0.5
+        return _gram(self._mats[0] @ self._mats[1])
 
     def pair_sum(self) -> np.ndarray:
         """A + B (P12)."""
@@ -563,12 +562,10 @@ def _p5(data: InstanceData, tr: MarginTracker) -> None:
 
     def dual(t, p):
         # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
-        # is exactly A^p or B^p; taking its root directly avoids the
-        # power round trip, matching the means' endpoint handling.
-        if t == 0.0:
-            return m.eig(0).lam
-        if t == 1.0:
-            return m.eig(1).lam
+        # is exactly A^p or B^p; its root is then A or B, as for the means.
+        end = m._end(t)
+        if end is not None:
+            return m.eig(end).lam
         return m.product_spectrum(t, p) ** (1.0 / p)
 
     s, s_p = _grid_reads(
@@ -683,7 +680,7 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
 def _p12(data: InstanceData, tr: MarginTracker) -> None:
     """4 |||AB||| <= |||(A+B)^2||| and the square-root mean chain."""
     means, spec = data.means, data.spec
-    s_ab = np.sqrt(np.maximum(means.spectrum("ab_gram"), 0.0))  # the singular values of AB
+    s_ab = _gram_roots(means.spectrum("ab_gram"))  # the singular values of AB
     s_sum_sq = means.spectrum("pair_sum") ** 2
     # Ky Fan on the prefix sums, the factor 4 applied after the cumsum.
     tr.compare("leq", np.cumsum(s_ab) * 4.0, np.cumsum(s_sum_sq), "KyFan")

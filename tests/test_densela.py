@@ -373,6 +373,66 @@ def test_pd_power_addition_law(p, q):
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * (1.0 + np.max(np.abs(rhs)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([0.0, 1.5, 4.0]),
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from([-4.0, -0.5, -0.1, 0.0, -0.0, 0.375, 1.0, 2.0, 4.0]),
+             min_size=1, max_size=8),
+)
+def test_pd_power_of_a_list_stacks_the_calls_bitwise(n, cond, seed, exps):
+    e = sym_eigen(random_pd(n, cond, seed))
+    try:
+        want = [pd_power(e, x) for x in exps]
+    except ValueError:  # at cond 4 a matrix may not be positive definite
+        with pytest.raises(ValueError):
+            pd_power(e, exps)
+        return
+    for seq in (exps, tuple(exps)):
+        got = pd_power(e, seq)
+        assert got.shape == (len(exps), n, n)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+_NOT_PD = np.diag([2.0, -1.0, 1.0])
+_HUGE = np.diag([1e90, 1e89, 1e88])  # positive definite, but its 4th power overflows
+
+
+@pytest.mark.parametrize(
+    "m, exps, text",
+    [
+        (_NOT_PD, [1.0, math.nan],
+         "matrix is not positive definite: eigenvalue range [-1.000000e+00, 2.000000e+00]"),
+        (_NOT_PD, [math.inf, 1.0], "exponent must be finite, got inf"),
+        (_HUGE, [1.0, 4.0, math.nan],
+         "spectral function undefined at eigenvalue np.float64(1e+90): "
+         "(34, 'Numerical result out of range')"),
+        (_HUGE, [1.0, -math.inf], "exponent must be finite, got -inf"),
+    ],
+)
+def test_pd_power_of_a_list_raises_what_its_first_failing_call_raises(m, exps, text):
+    with pytest.raises(ValueError) as first:
+        for x in exps:
+            pd_power(m, x)
+    assert str(first.value) == text
+    for a in (m, sym_eigen(m)):
+        with pytest.raises(ValueError) as got:
+            pd_power(a, exps)
+        assert str(got.value) == text
+
+
+def test_symmetrize_of_a_stack_is_each_symmetrize():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 3, 3))
+    got = densela.symmetrize(x)
+    assert all(g.tobytes() == densela.symmetrize(m).tobytes() for g, m in zip(got, x))
+    x[2, 0, 1] = math.inf
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        densela.symmetrize(x)
+
+
 def test_pd_log_identity_and_exp_zero():
     assert pd_log(np.eye(3)) == pytest.approx(np.zeros((3, 3)), abs=1e-12)
     assert sym_exp(np.zeros((3, 3))) == pytest.approx(np.eye(3), abs=1e-12)

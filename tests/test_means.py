@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -387,28 +389,46 @@ def test_stacked_builds_are_the_point_builds_bitwise(n, cond, seed, exps):
     a, b, c = (random_pd(n, cond, seed + i) for i in range(3))
     grid_pair, pair = PairTable(a, b), PairTable(a, b)
     xs = [(x,) for x in exps]
+
+    # The references are the point builds each table matrix had before its
+    # grid builder became its only builder.
+    def term(table, i, p):
+        return pd_log(table.eig(i)) if p == 0.0 else pd_power(table.eig(i), p)
+
+    def aggregate(table, weights, p):
+        return symmetrize(functools.reduce(
+            operator.add, (w * term(table, i, p) for i, w in enumerate(weights))))
+
+    def geometric(t):
+        rh, ec = pair._congruence()
+        return symmetrize(rh @ pd_power(ec, t) @ rh)
+
+    def sandwich_matrix(t, p):
+        if pair._sandwich_via_factor(t, p):
+            return pair._sandwich_block(t, p)
+        bt = pd_power(pair.eig(1), t * p / 2.0)
+        return symmetrize(bt @ pd_power(pair.eig(0), (1.0 - t) * p) @ bt)
+
+    def product(t, p):
+        ah = pd_power(pair.eig(0), (1.0 - t) * p / 2.0)
+        return symmetrize(ah @ pd_power(pair.eig(1), t * p) @ ah)
+
     for i in (0, 1):
-        _same_bits(
-            lambda pts: means._power_stack(grid_pair.eig(i), exps),
-            lambda x: pd_power(pair.eig(i), x),
-            xs,
-        )
-        _same_bits(
-            lambda pts: means._power_stack(grid_pair.eig(i), exps, log=True),
-            lambda x: pd_log(pair.eig(i)) if x == 0.0 else pd_power(pair.eig(i), x),
-            xs,
-        )
+        _same_bits(lambda pts: pd_power(grid_pair.eig(i), exps),
+                   lambda x: pd_power(pair.eig(i), x), xs)
+        _same_bits(lambda pts: grid_pair._powers(i, exps), lambda x: term(pair, i, x), xs)
     tp = [(t, p) for t in _TS for p in exps]
-    _same_bits(grid_pair._grid_power_aggregate, pair.power_aggregate, tp)
-    _same_bits(grid_pair._grid_product, pair.product, tp)
-    _same_bits(grid_pair._grid_geometric, pair.geometric, [(t,) for t in _TS])
+    _same_bits(grid_pair._grid_power_aggregate, lambda t, p: aggregate(pair, (1.0 - t, t), p), tp)
+    _same_bits(grid_pair._grid_product, product, tp)
+    _same_bits(grid_pair._grid_geometric, geometric, [(t,) for t in _TS])
     pos = [(t, p) for t, p in tp if p > 0.0]
-    _same_bits(grid_pair._grid_sandwich_matrix, pair.sandwich_matrix, pos)
+    _same_bits(grid_pair._grid_sandwich_matrix, sandwich_matrix, pos)
 
     weights = (0.2, 0.3, 0.5)
     grid_multi, multi = MultiTable((a, b, c), weights), MultiTable((a, b, c), weights)
-    _same_bits(grid_multi._grid_power_aggregate, multi.power_aggregate, xs)
-    _same_bits(grid_multi._grid_power_sum, multi.power_sum, xs)
+    _same_bits(grid_multi._grid_power_aggregate,
+               lambda p: aggregate(multi, multi.checked().alphas, p), xs)
+    _same_bits(grid_multi._grid_power_sum, lambda p: aggregate(multi, (1.0, 1.0, 1.0), p), xs)
 
 
 def _reads(table):
@@ -416,7 +436,8 @@ def _reads(table):
     out = []
     for t in (0.25, 0.5):
         for name, args in (("geometric", (t,)), ("power_aggregate", (t, 0.0)),
-                           ("sandwich_matrix", (t, 4.0)), ("product", (t, -4.0))):
+                           ("power_aggregate", (t, 4.0)), ("sandwich_matrix", (t, 4.0)),
+                           ("product", (t, -4.0))):
             try:
                 out.append(table.spectrum(name, *args).tobytes())
             except Exception as exc:
@@ -424,21 +445,42 @@ def _reads(table):
     return out
 
 
+def _not_pd(low, high):
+    """The error texts of ``_reads`` when B is not positive definite."""
+    b = f"ValueError: b is not positive definite (smallest eigenvalue {low})"
+    log = f"ValueError: matrix logarithm requires positive definiteness: eigenvalue range [{low}, {high}]"
+    power = f"ValueError: matrix is not positive definite: eigenvalue range [{low}, {high}]"
+    return [b, log, power, b, power] * 2
+
+
+_OVERFLOW = ("ValueError: spectral function undefined at eigenvalue np.float64(1.17e+77): "
+             "(34, 'Numerical result out of range')")
+
+
 @pytest.mark.parametrize(
-    "b",
+    "b, errors",
     [
-        np.diag([2.0, -1.0, 1.0]),  # not positive definite
-        np.diag([1e90, 1.0, 3.0]),  # B^4 overflows: a non-finite power
-        np.diag([1e9, 1.0, 1e-9]),  # sandwich past the range limit: the factor form
+        # Not positive definite: a negative eigenvalue, then smallest
+        # eigenvalues below n * PD_REL_FACTOR times the largest.
+        (np.diag([2.0, -1.0, 1.0]), _not_pd("-1.000000e+00", "2.000000e+00")),
+        (np.diag([1e90, 1.0, 3.0]), _not_pd("1.000000e+00", "1.000000e+90")),
+        (np.diag([1e9, 1.0, 1e-9]), _not_pd("1.000000e-09", "1.000000e+09")),
+        # B^4 overflows: a non-finite power in the grid at p = 4 only.
+        (np.diag([1.17e77, 1e77, 1e76]), [None, None, _OVERFLOW, None, None] * 2),
+        # Every sandwich at p = 4 is past the range limit: the factor form.
+        (np.diag([1e5, 1.0, 1e-5]), [None] * 10),
     ],
+    ids=["b0", "b1", "b2", "b3", "b4"],
 )
-def test_prefill_of_a_grid_that_cannot_stack_reads_as_a_fresh_table(b):
+def test_prefill_of_a_grid_that_cannot_stack_reads_as_a_fresh_table(b, errors):
     a = random_pd(3, 1.0, 9)
     table = PairTable(a, b)
     axes = ((0.25, 0.5), (0.0, 4.0, -4.0))
     names = ("power_aggregate", "sandwich_matrix", "product")
     means.prefill([(table, name, axes) for name in names] + [(table, "geometric", (axes[0],))])
-    assert _reads(table) == _reads(PairTable(a, b))
+    got = _reads(table)
+    assert [r if isinstance(r, str) else None for r in got] == errors
+    assert got == _reads(PairTable(a, b))
 
 
 def test_prefill_of_a_multi_grid_with_a_non_pd_member_reads_as_a_fresh_table():
@@ -446,9 +488,13 @@ def test_prefill_of_a_multi_grid_with_a_non_pd_member_reads_as_a_fresh_table():
     table = MultiTable(mats, (0.2, 0.3, 0.5))
     means.prefill([(table, "power_aggregate", ((0.0, 1.0),)), (table, "power_sum", ((1.0,),))])
     fresh = MultiTable(mats, (0.2, 0.3, 0.5))
-    for read in (lambda tb: tb.power_mean_spectrum(1.0), lambda tb: tb.power_sum_spectrum(1.0)):
-        with pytest.raises(ValueError) as got:
-            read(table)
-        with pytest.raises(ValueError) as want:
-            read(fresh)
-        assert str(got.value) == str(want.value)
+    texts = (
+        "matrix 1 is not positive definite (smallest eigenvalue 0.000000e+00)",
+        "matrix is not positive definite: eigenvalue range [0.000000e+00, 2.000000e+00]",
+    )
+    for read, text in zip((lambda tb: tb.power_mean_spectrum(1.0),
+                           lambda tb: tb.power_sum_spectrum(1.0)), texts):
+        for tb in (table, fresh):
+            with pytest.raises(ValueError) as got:
+                read(tb)
+            assert str(got.value) == text

@@ -2,7 +2,9 @@
 
 The digests pin the JSONL that `matmeans check` writes; any change in
 floating-point evaluation order, error text or serialization moves them.
-The `--cond 4` run covers error strings and NaN margins.  The `dim8` run
+The `--cond 4` run covers error strings and NaN margins; the `--cond 8` run
+adds `pd_power`'s "matrix is not positive definite: eigenvalue range"
+text, which none of the others carries.  The `dim8` run
 checks every property at n = 8 except P6, the fixed 2x2 pair, and P8.
 The `p8dim7` and `p8dim8` runs check P8 alone, whose residual
 C_k(G) C_k(A)^-1 C_k(G) - C_k(B) takes the largest compounds of a
@@ -35,6 +37,11 @@ PINNED = {
         ["--seed", "1", "--count", "10", "--dims", "2:6", "--cond", "4"],
         1,
         "c2ba0eb8f6e82a5b10294bafbc4183cb96dd95deedfbcf99ef74efa29f226070",
+    ),
+    "cond8": (
+        ["--cond", "8", "--seed", "3", "--count", "20"],
+        1,
+        "9ae14882094924127527cf35f4fc673d63f7b4efce799c7c4a49f3d77e9b94a3",
     ),
     "dim8": (
         ["--seed", "1", "--count", "4", "--dims", "8",
