@@ -207,9 +207,9 @@ def _rotation(app: float, arr: float, apq: float) -> tuple[float, float, float]:
     return t, c, t * c
 
 
-def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int,
-                 vectors: bool) -> tuple[list[float], list[list[float]] | None]:
-    """Jacobi sweeps on nested Python lists: the diagonal and, with ``vectors``, q."""
+def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int, vectors: bool,
+                 shift: int) -> tuple[list[float], list[list[float]] | None]:
+    """Jacobi sweeps on the nested lists of S 2^-shift: the diagonal and, with ``vectors``, q."""
     n = a_in.shape[0]
     a = a_in.tolist()
     q = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if vectors else None
@@ -221,7 +221,8 @@ def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int,
         if off2 <= thr2:
             return [a[i][i] for i in range(n)], q
         if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(math.sqrt(off2), threshold, max_sweeps)
+            raise JacobiConvergenceError(math.ldexp(math.sqrt(off2), shift),
+                                         math.ldexp(threshold, shift), max_sweeps)
         sweeps += 1
         for p, r, others in rotations:
             ap = a[p]
@@ -259,7 +260,8 @@ def sym_eigen(
 
     Sweeps run until the off-diagonal Frobenius mass falls below
     ``JACOBI_OFF_REL * ||s||_F`` or ``max_sweeps`` sweeps have been spent,
-    in which case :class:`JacobiConvergenceError` reports the residual.
+    in which case :class:`JacobiConvergenceError` reports the residual; a
+    matrix far from unit scale is solved scaled by a power of two, exactly.
     Eigenvalues are sorted descending with a stable sort (ties keep their
     original diagonal order) and eigenvector columns are permuted to match.
 
@@ -268,10 +270,12 @@ def sym_eigen(
     never reads the eigenvectors.
     """
     a_in = require_symmetric(s)
+    k = _range_exponent(float(np.abs(a_in).max()))
+    a_in = np.ldexp(a_in, -k)
     a_in = (a_in + a_in.T) * 0.5
     threshold = JACOBI_OFF_REL * math.sqrt(float((a_in * a_in).sum()))
-    diag, q = _sweep_lists(a_in, threshold, max_sweeps, vectors)
-    lam = np.array(diag)
+    diag, q = _sweep_lists(a_in, threshold, max_sweeps, vectors, k)
+    lam = np.ldexp(diag, k)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     lam.setflags(write=False)
@@ -320,12 +324,23 @@ def sym_eigen_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
     for i in np.flatnonzero(bad).tolist():
         out[i] = _try_sym_eigen(mats[i], max_sweeps)
     idx = np.flatnonzero(~bad)
-    a = symmetrize(stack[idx])
+    k = np.array([_range_exponent(x) for x in peak[idx].tolist()], dtype=int)
+    a = symmetrize(np.ldexp(stack[idx], -k[:, None, None]))
     thr = JACOBI_OFF_REL * np.sqrt((a * a).reshape(len(idx), -1).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, e in zip(idx.tolist(), _sweep_stack(a, thr, max_sweeps)):
+        for i, e in zip(idx.tolist(), _sweep_stack(a, thr, max_sweeps, k.tolist())):
             out[i] = e
     return out
+
+
+def _range_exponent(peak: float) -> int:
+    """0 for a largest |entry| ``peak`` in [2^-400, 2^400), else its binary exponent k.
+
+    The sweeps square the entries, so a matrix S out of that range is solved
+    as S 2^-k, and its eigenvalues and residuals are scaled back by 2^k, exactly.
+    """
+    k = math.frexp(peak)[1]
+    return 0 if -400 < k <= 400 else k
 
 
 def _try_sym_eigen(m, max_sweeps: int):
@@ -338,8 +353,8 @@ def _try_sym_eigen(m, max_sweeps: int):
 _hypot1 = functools.partial(math.hypot, 1.0)
 
 
-def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int) -> list:
-    """``_sweep_lists`` without vectors on a stack of symmetric matrices.
+def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int, shift: list) -> list:
+    """``_sweep_lists`` without vectors on a stack of symmetric matrices S_i 2^-shift[i].
 
     Returns, per matrix, its spectrum-only decomposition or its
     :class:`JacobiConvergenceError`.  ``a`` is rotated in place.
@@ -355,11 +370,12 @@ def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int) -> list:
         off2 = np.add.accumulate(2.0 * u * u, axis=1)[:, -1] if iu.size else np.zeros(u.shape[0])
         done = off2 <= thr2
         for j in np.flatnonzero(done).tolist():
-            out[active[j]] = _sorted_spectrum(a[j].diagonal().copy())
+            out[active[j]] = _sorted_spectrum(np.ldexp(a[j].diagonal(), shift[active[j]]))
         if sweeps >= max_sweeps:
             for j in np.flatnonzero(~done).tolist():
                 i = active[j]
-                out[i] = JacobiConvergenceError(math.sqrt(off2[j]), float(threshold[i]), max_sweeps)
+                out[i] = JacobiConvergenceError(math.ldexp(math.sqrt(off2[j]), shift[i]),
+                                                math.ldexp(threshold[i], shift[i]), max_sweeps)
             return out
         if done.any():
             a, thr2, active = a[~done], thr2[~done], active[~done]

@@ -25,9 +25,11 @@ one-point grid.  The powers over a whole exponent list come from one
 ``pd_power`` call, weighted sums are added in index order and products
 are stacked ``matmul``s, which give the bits of the 2-D forms.
 :func:`prefill` builds many such matrices ahead of their reads, solves
-them by order with ``sym_eigen_batch`` and stores each result, or error,
-where its read would store it; the reads stay as they are and return the
-same bits.  Only the spectra are kept, not the matrices.
+them by order with ``sym_eigen_batch`` and stores each spectrum that
+solves where its read would store it; the reads stay as they are and
+return the same bits.  Only the spectra are kept, not the matrices, and a
+table never stores an error: a read that raised raises again when read
+again.
 """
 
 from __future__ import annotations
@@ -142,26 +144,19 @@ def _root_spectrum(lam: np.ndarray, p: float, what: str) -> np.ndarray:
 def _entry(method):
     """A table entry: computed on its first read for given arguments, then reused.
 
-    An entry whose computation raised raises the same exception on every
-    later read, so every caller sees the same error.
+    Only results are stored.  An entry whose computation raised is computed
+    again on its next read and raises the same error, because every entry
+    is a pure function of the table's matrices.
     """
     name = method.__name__
 
     @functools.wraps(method)
     def read(self, *args):
         key = (name, *args)
-        hit = self._memo.get(key)
-        if hit is None:
-            try:
-                value = method(self, *args)
-            except Exception as exc:
-                self._memo[key] = (False, exc)
-                raise
-            hit = self._memo[key] = (True, value)
-        ok, value = hit
-        if ok:
-            return value
-        raise value.with_traceback(None)
+        value = self._memo.get(key)
+        if value is None:  # no entry returns None
+            value = self._memo[key] = method(self, *args)
+        return value
 
     return read
 
@@ -481,13 +476,12 @@ def prefill(requests) -> None:
     Each request ``(table, name, axes)`` names the reads
     ``table.spectrum(name, *args)`` for ``args`` over the grid
     ``itertools.product(*axes)``.  The matrices of one table entry are built
-    as one grid, by its grid builder ``_grid_<name>`` where it has one, and
-    one point at a time when the grid raises because some point does.  They
-    are stacked by order and solved by ``sym_eigen_batch``, and each
-    spectrum, or the error its solve raised, is stored where its read
-    stores it; the read then returns the same bits.  A matrix whose own
-    build raised is left to its read, which raises the same error after
-    the checks that precede it.
+    as one grid by ``_grid(name, points)``, stacked by order and solved by
+    ``sym_eigen_batch``; each spectrum that solves is stored where its read
+    stores it, and the read then returns the same bits.  Nothing else is
+    stored: a grid whose build raised and a matrix whose solve raised are
+    left to their reads, which build and solve them as a fresh table does
+    and raise in their own place.
     """
     groups: dict[tuple, tuple] = {}
     for table, name, axes in requests:
@@ -497,31 +491,19 @@ def prefill(requests) -> None:
                 points[args] = None
     stacks: dict[tuple, tuple[list, list]] = {}
     for table, name, points in groups.values():
-        for args, m in _build(table, name, list(points)):
+        try:
+            grid = table._grid(name, list(points)) if points else ()
+        except Exception:  # some point raises: its read raises it again
+            continue
+        for args, m in zip(points, grid):
             keys, mats = stacks.setdefault(m.shape, ([], []))
             keys.append((table, ("spectrum", name, *args)))
             mats.append(m)
     while stacks:  # each stack is freed once solved
         _, (keys, mats) = stacks.popitem()
         for (table, key), e in zip(keys, sym_eigen_batch(mats)):
-            table._memo[key] = (False, e) if isinstance(e, Exception) else (True, e.lam)
-
-
-def _build(table, name: str, points: list) -> list:
-    """``(args, m)`` for each of ``points`` whose matrix ``m`` builds."""
-    if not points:
-        return []
-    try:
-        return list(zip(points, table._grid(name, points)))
-    except Exception:  # some point raises: each is built, or raises, on its own
-        pass
-    built = []
-    for args in points:
-        try:
-            built.append((args, table._grid(name, [args])[0]))
-        except Exception:  # the read raises it again, in its own place
-            continue
-    return built
+            if not isinstance(e, Exception):
+                table._memo[key] = e.lam
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,53 @@ def test_batch_small_stacks_and_shape_errors():
         sym_eigen_batch([np.ones((2, 3))] * densela._BATCH_MIN)
 
 
+# --- matrices far from unit scale --------------------------------------------
+#
+# The sweeps square the entries, so a matrix whose largest |entry| lies
+# outside [2^-400, 2^400) is solved scaled by a power of two, which is exact.
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170, 1e300, 1e-300])
+def test_far_scaled_spectra_match_lapack(scale):
+    for m in (np.array([[1.0, 0.5], [0.5, 1.0]]), random_pd(5, 1.5, 3)):
+        s = m * scale
+        ref = np.linalg.eigvalsh(s)[::-1]
+        batch = sym_eigen_batch([s] * densela._BATCH_MIN)[0]
+        for e in (sym_eigen(s), sym_eigen(s, vectors=False), batch):
+            assert e.lam == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(sym_eigen(s).reconstruct() - s)) <= 1e-12 * scale
+
+
+# Hypothesis favours small integers: draw half the exponents beyond the range.
+_EXPONENTS = st.one_of(st.integers(-700, 700), st.integers(-700, -401), st.integers(401, 700))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_INPUTS, _EXPONENTS, st.sampled_from([0, 1, densela.JACOBI_MAX_SWEEPS]))
+def test_power_of_two_scaling_is_exact(m, k, max_sweeps):
+    ref = _scalar_spectrum(m, max_sweeps)
+    got = _scalar_spectrum(np.ldexp(m, k), max_sweeps)
+    if isinstance(ref, JacobiConvergenceError):
+        assert (got.residual, got.threshold) == (math.ldexp(ref.residual, k),
+                                                 math.ldexp(ref.threshold, k))
+    else:
+        assert got.lam.tobytes() == np.ldexp(ref.lam, k).tobytes()
+        full = sym_eigen(np.ldexp(m, k), max_sweeps)
+        assert full.lam.tobytes() == got.lam.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000),
+       st.lists(_EXPONENTS, min_size=densela._BATCH_MIN, max_size=densela._BATCH_MIN))
+def test_batch_power_of_two_scaling_is_exact(n, seed, ks):
+    mats = [_MEMBER_KINDS[i % len(_MEMBER_KINDS)](n, seed + i) for i in range(len(ks))]
+    got = sym_eigen_batch([np.ldexp(m, k) for m, k in zip(mats, ks)])
+    for m, k, e in zip(mats, ks, got):
+        assert e.lam.tobytes() == np.ldexp(sym_eigen(m, vectors=False).lam, k).tobytes()
+    for max_sweeps in (0, 1):
+        _assert_batch_matches([np.ldexp(m, k) for m, k in zip(mats, ks)], max_sweeps)
+
+
 def test_spectrum_only_result_cannot_apply_or_reconstruct():
     e = sym_eigen(random_pd(3, 1.0, 4), vectors=False)
     assert e.q is None

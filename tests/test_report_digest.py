@@ -4,8 +4,10 @@ The digests pin the JSONL that `matmeans check` writes; any change in
 floating-point evaluation order, error text or serialization moves them.
 The `--cond 4` run covers error strings and NaN margins; the `--cond 8` run
 adds `pd_power`'s "matrix is not positive definite: eigenvalue range"
-text, which none of the others carries.  The `dim8` run
-checks every property at n = 8 except P6, the fixed 2x2 pair, and P8.
+text, which none of the others carries, and the `--cond 10` run has the
+most table grids whose build raises, whose points are read one by one.
+The `dim8` run checks every property at n = 8 except P6, the fixed 2x2
+pair, and P8.
 The `p8dim7` and `p8dim8` runs check P8 alone, whose residual
 C_k(G) C_k(A)^-1 C_k(G) - C_k(B) takes the largest compounds of a
 campaign, of order up to 70, through `compound_matrix` and one LU solve.
@@ -42,6 +44,11 @@ PINNED = {
         ["--cond", "8", "--seed", "3", "--count", "20"],
         1,
         "9ae14882094924127527cf35f4fc673d63f7b4efce799c7c4a49f3d77e9b94a3",
+    ),
+    "cond10": (
+        ["--cond", "10", "--seed", "3", "--count", "20"],
+        1,
+        "86b50119e7f693d6ad73d7cffcfbc2cd197e2631808b6cfb55e718c657e768bd",
     ),
     "dim8": (
         ["--seed", "1", "--count", "4", "--dims", "8",

@@ -68,7 +68,13 @@ def test_raising_entry_raises_the_same_error_in_every_reader(computed):
     errors = {pid: evaluate_property(pid, data).error for pid in ("P1", "P2", "P3", "P5")}
     assert len(set(errors.values())) == 1
     assert errors["P1"].startswith("ValueError: power mean aggregate lost positivity")
-    assert set(computed.values()) == {1}
+    # A table stores results only: each (t, p) that succeeds is computed
+    # once, and the failing one again by each reader.
+    failing = [tp for tp, n in computed.items() if n != 1]
+    assert len(failing) == 1
+    assert computed[failing[0]] == len(errors)
+    with pytest.raises(ValueError, match="power mean aggregate lost positivity"):
+        means.power_mean_spectrum(data.a, data.b, *failing[0])
 
 
 @pytest.fixture
@@ -207,7 +213,46 @@ def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
     assert bool(prefilled) == (properties != ("P6", "P8"))
 
 
-@pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
+def _stores_an_exception(value):
+    values = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, BaseException) for v in values)
+
+
+def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
+    # At cond 8 some grids raise as a whole because one of their points does.
+    chunk = _chunk(8.0)
+    raised = []
+    real = means._Factored._grid
+
+    def recording(table, name, points):
+        try:
+            return real(table, name, points)
+        except Exception:
+            raised.append((table, name, list(points)))
+            raise
+
+    monkeypatch.setattr(means._Factored, "_grid", recording)
+    suite._prefill(chunk, suite.PROPERTY_IDS)
+    monkeypatch.undo()
+    assert raised
+    for table, name, points in raised:
+        assert not any(("spectrum", name, *args) in table._memo for args in points)
+
+    for data in chunk:
+        for pid in suite.PROPERTY_IDS:
+            evaluate_property(pid, data)
+    tables = [t for d in chunk for t in (d.means, d.multi_means)]
+    assert not any(_stores_an_exception(v) for t in tables for v in t._memo.values())
+    # A point whose own build raises is never stored, not even by its read.
+    for table, name, points in raised:
+        for args in points:
+            try:
+                table._grid(name, [args])
+            except Exception:
+                assert ("spectrum", name, *args) not in table._memo
+
+
+@pytest.mark.parametrize("cond_exponent", [1.5, 4.0, 8.0, 10.0])
 def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_exponent):
     # Three chunks of mixed dimensions, prefilled, against a fresh lazy table per instance.
     monkeypatch.setattr(suite, "_CHUNK", 4)
