@@ -20,7 +20,8 @@ RUNS = """--seed 1 --count 100|--cond 4 --seed 1 --count 60|--cond 8 --seed 3 --
 --seed 4 --count 40 --p-grid -3,-1,0,0.3,2 --t 0.1,0.9|--seed 6 --count 40 --t 0,1
 --seed 8 --count 35 --t= --p-grid 1|--cond 5 --seed 12 --count 40 --props P3,P5,P7
 --seed 13 --count 70 --dims 3|--cond 4 --seed 100 --count 45 --dims 2,5
---cond 10 --seed 3 --count 20|--cond 4 --seed 31 --count 16"""
+--cond 10 --seed 3 --count 20|--cond 4 --seed 31 --count 16
+--cond 8 --seed 21 --count 40 --dims 2:7 --t 0.5,0.25,0.5"""
 
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report.jsonl")

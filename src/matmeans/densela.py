@@ -13,9 +13,12 @@ sweeps rotate nested Python lists, which for the orders the property
 checks solve (at most 2n) cost less than per-row numpy calls.
 :func:`sym_eigen_batch` runs the spectrum-only mode over a stack of
 matrices of one order, one rotation of every matrix per group of numpy
-calls, and returns each matrix's eigenvalues with the bits of
-``sym_eigen``; it loops over ``sym_eigen`` for stacks too small to repay
-the fixed cost of a batched rotation.
+calls, and returns every matrix's eigenvalues as one array, with the bits
+of ``sym_eigen``.  The stack is held with the matrices on its last axis,
+so row p of every matrix is one contiguous block; it loops over
+``sym_eigen`` for stacks too small to repay the fixed cost of a batched
+rotation.  ``singular_values`` forms x.T x on x scaled by a power of two
+where its entries would overflow or underflow in the product.
 
 All operations are pure functions of their inputs.  Returned arrays are
 fresh and inputs are never mutated; the arrays of an
@@ -287,100 +290,106 @@ def sym_eigen(
 
 
 # Below this many matrices sym_eigen_batch loops over sym_eigen: a batched
-# rotation costs a fixed ~30 numpy calls whatever the stack size, which a
-# small stack does not repay.  On 2 vCPUs, stacks of order 2-8 ran at
-# 0.35-0.8x the speed of the loop with 8 matrices, 0.7-1.1x with 16,
-# 1.1-1.5x with 32 and 1.7-3.5x with 128.
+# rotation costs a fixed ~25 numpy calls whatever the stack size, which a
+# small stack does not repay.  On 2 vCPUs, stacks of order 2-8 took
+# 0.4-1.2x the time of the loop with 16 matrices, 0.2-0.65x with 32 and
+# 0.08-0.25x with 128.
 _BATCH_MIN = 32
 
 
-def sym_eigen_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> list:
+def sym_eigen_batch(mats, max_sweeps: int = JACOBI_MAX_SWEEPS) -> tuple[np.ndarray, dict]:
     """Spectrum-only :func:`sym_eigen` of every matrix in a stack of one order.
 
-    Entry i is ``sym_eigen(mats[i], max_sweeps, vectors=False)`` bit for
-    bit, or the exception that call raises (a ``ValueError`` from
-    validation or a :class:`JacobiConvergenceError`), so one bad member
-    leaves the others untouched.  Each matrix runs the cyclic plan of
-    ``_sweep_lists`` with the same floating-point operations in the same
-    order, vectorised across the stack: the matrix stays exactly symmetric,
-    so rows p and r are rotated once and copied into columns p and r; the
-    off-diagonal mass is summed sequentially, as the list code sums it;
-    ``math.hypot`` is taken per element, because ``np.hypot`` rounds
-    differently; a rotation with a zero pivot keeps the old values, as the
-    list code skips it; and each matrix leaves the stack at its own
+    Returns ``(lam, errors)``.  Row i of ``lam`` is
+    ``sym_eigen(mats[i], max_sweeps, vectors=False).lam`` bit for bit, or
+    NaN where that call raises; ``errors`` maps each such i to the
+    exception the call raises (a ``ValueError`` from validation or a
+    :class:`JacobiConvergenceError`), so one bad member leaves the others
+    untouched.  Each matrix runs the cyclic plan of ``_sweep_lists`` with
+    the same floating-point operations in the same order, vectorised across
+    the stack, which is held with the members on the last axis so that row
+    p of every member is one contiguous block: the matrix stays exactly
+    symmetric, so rows p and r are rotated once and copied into columns p
+    and r; the off-diagonal mass is summed sequentially, as the list code
+    sums it; ``math.hypot`` is taken per element, because ``np.hypot``
+    rounds differently; a rotation with a zero pivot keeps the old values,
+    as the list code skips it; and each matrix leaves the stack at its own
     threshold.  Stacks smaller than ``_BATCH_MIN`` loop over ``sym_eigen``.
     """
-    mats = list(mats)
-    if len(mats) < _BATCH_MIN:
-        return [_try_sym_eigen(m, max_sweeps) for m in mats]
     stack = np.asarray(mats, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
-    out: list = [None] * len(mats)
-    with np.errstate(invalid="ignore"):
-        peak = np.abs(stack).max(axis=(1, 2))
-        defect = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = ~np.isfinite(stack).all(axis=(1, 2)) | (defect > SYM_REL_TOL * (1.0 + peak))
+    lam = np.full(stack.shape[:2], math.nan)
+    errors: dict = {}
+    if len(stack) < _BATCH_MIN:
+        bad = np.ones(len(stack), dtype=bool)
+    else:
+        with np.errstate(invalid="ignore"):
+            peak = np.abs(stack).max(axis=(1, 2))
+            defect = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = ~np.isfinite(stack).all(axis=(1, 2)) | (defect > SYM_REL_TOL * (1.0 + peak))
     for i in np.flatnonzero(bad).tolist():
-        out[i] = _try_sym_eigen(mats[i], max_sweeps)
+        try:
+            lam[i] = sym_eigen(stack[i], max_sweeps, vectors=False).lam
+        except (ValueError, JacobiConvergenceError) as exc:
+            errors[i] = exc
     idx = np.flatnonzero(~bad)
-    k = np.array([_range_exponent(x) for x in peak[idx].tolist()], dtype=int)
-    a = symmetrize(np.ldexp(stack[idx], -k[:, None, None]))
-    thr = JACOBI_OFF_REL * np.sqrt((a * a).reshape(len(idx), -1).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, e in zip(idx.tolist(), _sweep_stack(a, thr, max_sweeps, k.tolist())):
-            out[i] = e
-    return out
+    if idx.size:
+        k = np.frexp(peak[idx])[1]
+        k[(-400 < k) & (k <= 400)] = 0  # as _range_exponent
+        a = symmetrize(np.ldexp(stack[idx], -k[:, None, None]))
+        thr = JACOBI_OFF_REL * np.sqrt((a * a).reshape(len(idx), -1).sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            _sweep_stack(np.ascontiguousarray(a.transpose(1, 2, 0)), thr, max_sweeps, k, idx,
+                         lam, errors)
+    return lam, errors
 
 
-def _range_exponent(peak: float) -> int:
-    """0 for a largest |entry| ``peak`` in [2^-400, 2^400), else its binary exponent k.
+def _range_exponent(peak: float, limit: int = 400) -> int:
+    """0 for a largest |entry| ``peak`` in [2^-limit, 2^limit), else its binary exponent k.
 
-    The sweeps square the entries, so a matrix S out of that range is solved
-    as S 2^-k, and its eigenvalues and residuals are scaled back by 2^k, exactly.
+    The sweeps square the entries, so a matrix S out of the range of 400 is
+    solved as S 2^-k, and its eigenvalues and residuals are scaled back by
+    2^k, exactly.
     """
     k = math.frexp(peak)[1]
-    return 0 if -400 < k <= 400 else k
-
-
-def _try_sym_eigen(m, max_sweeps: int):
-    try:
-        return sym_eigen(m, max_sweeps, vectors=False)
-    except (ValueError, JacobiConvergenceError) as exc:
-        return exc
+    return 0 if -limit < k <= limit else k
 
 
 _hypot1 = functools.partial(math.hypot, 1.0)
 
 
-def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int, shift: list) -> list:
-    """``_sweep_lists`` without vectors on a stack of symmetric matrices S_i 2^-shift[i].
+def _sweep_stack(a: np.ndarray, threshold: np.ndarray, max_sweeps: int, shift: np.ndarray,
+                 index: np.ndarray, lam: np.ndarray, errors: dict) -> None:
+    """``_sweep_lists`` without vectors on the symmetric matrices S_j 2^-shift[j],
+    stacked on the last axis of ``a`` (n, n, members).
 
-    Returns, per matrix, its spectrum-only decomposition or its
-    :class:`JacobiConvergenceError`.  ``a`` is rotated in place.
+    Member j's descending eigenvalues go to row ``index[j]`` of ``lam``, or
+    its :class:`JacobiConvergenceError` to ``errors``.  ``a`` is rotated in place.
     """
-    out: list = [None] * a.shape[0]
-    iu, ju = np.triu_indices(a.shape[1], 1)
-    rotations = _rotation_plan(a.shape[1])
+    iu, ju = np.triu_indices(a.shape[0], 1)
+    rotations = _rotation_plan(a.shape[0])
     thr2 = threshold * threshold
-    active = np.arange(a.shape[0])  # the original index of each matrix left
     sweeps = 0
     while True:
-        u = a[:, iu, ju]
-        off2 = np.add.accumulate(2.0 * u * u, axis=1)[:, -1] if iu.size else np.zeros(u.shape[0])
+        u = a[iu, ju]
+        off2 = np.add.accumulate(2.0 * u * u)[-1] if iu.size else np.zeros(a.shape[2])
         done = off2 <= thr2
-        for j in np.flatnonzero(done).tolist():
-            out[active[j]] = _sorted_spectrum(np.ldexp(a[j].diagonal(), shift[active[j]]))
+        if done.any():
+            d = np.ldexp(np.diagonal(a)[done], shift[done][:, None])
+            lam[index[done]] = np.take_along_axis(d, np.argsort(-d, axis=1, kind="stable"), 1)
         if sweeps >= max_sweeps:
             for j in np.flatnonzero(~done).tolist():
-                i = active[j]
-                out[i] = JacobiConvergenceError(math.ldexp(math.sqrt(off2[j]), shift[i]),
-                                                math.ldexp(threshold[i], shift[i]), max_sweeps)
-            return out
+                k = int(shift[j])
+                errors[int(index[j])] = JacobiConvergenceError(
+                    math.ldexp(math.sqrt(off2[j]), k), math.ldexp(threshold[j], k), max_sweeps)
+            return
         if done.any():
-            a, thr2, active = a[~done], thr2[~done], active[~done]
-            if not active.size:
-                return out
+            left = ~done
+            a, thr2, threshold, shift, index = (
+                a[:, :, left], thr2[left], threshold[left], shift[left], index[left])
+            if not index.size:
+                return
         sweeps += 1
         for p, r, _ in rotations:
             _rotate_stack(a, p, r)
@@ -391,9 +400,9 @@ def _rotate_stack(a: np.ndarray, p: int, r: int) -> None:
 
     Every value is computed from views of ``a`` before the first write.
     """
-    app = a[:, p, p]
-    arr = a[:, r, r]
-    apq = a[:, p, r]
+    app = a[p, p]
+    arr = a[r, r]
+    apq = a[p, r]
     theta = (arr - app) / (2.0 * apq)
     t = 1.0 / (np.abs(theta) + np.fromiter(map(_hypot1, theta.tolist()), float, theta.size))
     np.negative(t, out=t, where=theta < 0.0)
@@ -402,10 +411,8 @@ def _rotate_stack(a: np.ndarray, p: int, r: int) -> None:
     tapq = t * apq
     app_new = app - tapq
     arr_new = arr + tapq
-    xp = a[:, p]
-    xr = a[:, r]
-    c = c[:, None]
-    sn = sn[:, None]
+    xp = a[p]
+    xr = a[r]
     vp = c * xp - sn * xr
     vq = sn * xp + c * xr
     pivot = apq != 0.0
@@ -413,25 +420,19 @@ def _rotate_stack(a: np.ndarray, p: int, r: int) -> None:
     if not pivot.all():
         # The list code skips a zero pivot: keep those matrices as they are.
         keep = ~pivot
-        vp[keep] = xp[keep]
-        vq[keep] = xr[keep]
+        vp[:, keep] = xp[:, keep]
+        vq[:, keep] = xr[:, keep]
         app_new[keep] = app[keep]
         arr_new[keep] = arr[keep]
         apq_new = np.where(pivot, 0.0, apq)
+    a[p] = vp
+    a[r] = vq
     a[:, p] = vp
     a[:, r] = vq
-    a[:, :, p] = vp
-    a[:, :, r] = vq
-    a[:, p, p] = app_new
-    a[:, r, r] = arr_new
-    a[:, p, r] = apq_new
-    a[:, r, p] = apq_new
-
-
-def _sorted_spectrum(diag: np.ndarray) -> EigenDecomposition:
-    lam = diag[np.argsort(-diag, kind="stable")]
-    lam.setflags(write=False)
-    return EigenDecomposition(q=None, lam=lam)
+    a[p, p] = app_new
+    a[r, r] = arr_new
+    a[p, r] = apq_new
+    a[r, p] = apq_new
 
 
 def _pd_eigs_ok(lam: np.ndarray) -> bool:
@@ -506,21 +507,39 @@ def sym_exp(h) -> np.ndarray:
 def singular_values(x) -> np.ndarray:
     """Descending singular values, as square roots of the spectrum of x.T x.
 
-    Eigenvalues of x.T x are clamped at zero before the square root.
+    Eigenvalues of x.T x are clamped at zero before the square root.  x.T x
+    is formed on x scaled by an exact power of two where its entries would
+    otherwise overflow or underflow in the product (see ``_gram_exponent``).
     """
-    return _gram_roots(sym_eigen(_gram(x), vectors=False).lam)
+    a = as_square_matrix(x)
+    return _gram_roots(sym_eigen(_gram(a), vectors=False).lam, _gram_exponent(a))
+
+
+def _gram_exponent(x: np.ndarray) -> int:
+    """0 where the largest |entry| of the matrix x lies in [2^-200, 2^200),
+    else its binary exponent k.
+
+    Out of that range x.T x would leave the range that ``sym_eigen`` solves
+    unscaled, or overflow, so ``_gram`` forms it on x 2^-k, exactly.
+    """
+    return _range_exponent(float(np.abs(x).max()), 200)
 
 
 def _gram(x) -> np.ndarray:
-    """x.T x of a square matrix with finite entries, symmetrized."""
+    """x.T x of a square matrix with finite entries, symmetrized, formed on
+    x 2^-k for k = ``_gram_exponent(x)``."""
     a = as_square_matrix(x)
+    k = _gram_exponent(a)
+    if k:
+        a = np.ldexp(a, -k)
     g = a.T @ a
     return (g + g.T) * 0.5
 
 
-def _gram_roots(lam: np.ndarray) -> np.ndarray:
-    """The singular values of x from the descending spectrum ``lam`` of ``_gram(x)``."""
-    return np.sqrt(np.maximum(lam, 0.0))
+def _gram_roots(lam: np.ndarray, k) -> np.ndarray:
+    """The singular values of x from the descending spectrum ``lam`` of
+    ``_gram(x)`` and its exponent ``k = _gram_exponent(x)``."""
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), k)
 
 
 def require_pd(a, name: str = "matrix") -> np.ndarray:

@@ -23,19 +23,24 @@ builder, the table's ``_grid_<name>(points)``, which returns the stack of
 that matrix at every point; a read of one point takes entry 0 of a
 one-point grid.  The powers over a whole exponent list come from one
 ``pd_power`` call, weighted sums are added in index order and products
-are stacked ``matmul``s, which give the bits of the 2-D forms.
-:func:`prefill` builds many such matrices ahead of their reads, solves
-them by order with ``sym_eigen_batch`` and stores each spectrum that
-solves where its read would store it; the reads stay as they are and
-return the same bits.  Only the spectra are kept, not the matrices, and a
-table never stores an error: a read that raised raises again when read
-again.
+are stacked ``matmul``s, which give the bits of the 2-D forms.  A table
+never stores an error: a read that raised raises again when read again.
+
+:class:`PairStack` and :class:`MultiStack` hold the tables of several
+instances of one order, so that their spectra are solved and read a whole
+grid at a time.  :func:`prefill` builds the named matrices of every
+member, solves them by order with ``sym_eigen_batch`` and stores their
+spectra as one array per matrix name, the members leading; only the
+spectra are kept, not the matrices.  The stacks' readers gather a grid
+from those arrays and compute the mean spectra of every member at once,
+with the bits of the point reads: each root is one call with a scalar
+exponent, and the endpoints t = 0 and t = 1 take the spectra of A and B.
+Each reader also says which members' point reads could raise.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ import numpy as np
 from .densela import (
     EigenDecomposition,
     _gram,
+    _gram_exponent,
     _gram_roots,
     pd_log,
     pd_power,
@@ -71,6 +77,8 @@ __all__ = [
     "cross_term",
     "power_mean_multi",
     "power_mean_multi_spectrum",
+    "PairStack",
+    "MultiStack",
     "prefill",
 ]
 
@@ -396,7 +404,7 @@ class PairTable(_Factored):
     @_entry
     def cross_singular_values(self, t: float) -> np.ndarray:
         """Descending singular values of the cross term A^{1-t} B^t, as ``singular_values``."""
-        return _gram_roots(self.spectrum("cross_gram", t))
+        return _gram_roots(self.spectrum("cross_gram", t), _gram_exponent(self.cross(t)))
 
     def _grid_product(self, points) -> np.ndarray:
         """A^{(1-t)p/2} B^{tp} A^{(1-t)p/2}, similar to the product A^{(1-t)p} B^{tp},
@@ -470,40 +478,253 @@ class MultiTable(_Factored):
         return self.spectrum("power_sum", p)
 
 
-def prefill(requests) -> None:
-    """Solve the table spectra that ``requests`` name in batches, ahead of their reads.
+def _root_spectra(lam: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
+    """``_root_spectrum`` of every spectrum in ``lam`` (..., len(ps), n) at its p.
 
-    Each request ``(table, name, axes)`` names the reads
-    ``table.spectrum(name, *args)`` for ``args`` over the grid
-    ``itertools.product(*axes)``.  The matrices of one table entry are built
-    as one grid by ``_grid(name, points)``, stacked by order and solved by
-    ``sym_eigen_batch``; each spectrum that solves is stored where its read
-    stores it, and the read then returns the same bits.  Nothing else is
-    stored: a grid whose build raised and a matrix whose solve raised are
-    left to their reads, which build and solve them as a fresh table does
-    and raise in their own place.
+    Returns the roots and where ``_root_spectrum`` raises instead.  Each p
+    is one call with a scalar exponent, which gives the bits of the point form.
     """
-    groups: dict[tuple, tuple] = {}
-    for table, name, axes in requests:
-        points = groups.setdefault((id(table), name), (table, name, {}))[2]
-        for args in itertools.product(*axes):
-            if ("spectrum", name, *args) not in table._memo:
-                points[args] = None
-    stacks: dict[tuple, tuple[list, list]] = {}
-    for table, name, points in groups.values():
-        try:
-            grid = table._grid(name, list(points)) if points else ()
-        except Exception:  # some point raises: its read raises it again
+    out = np.empty(lam.shape)
+    bad = np.zeros(lam.shape[:-1], dtype=bool)
+    for j, p in enumerate(ps):
+        x = lam[..., j, :]
+        if p == 0.0:
+            out[..., j, :] = np.exp(x)
             continue
-        for args, m in zip(points, grid):
-            keys, mats = stacks.setdefault(m.shape, ([], []))
-            keys.append((table, ("spectrum", name, *args)))
-            mats.append(m)
-    while stacks:  # each stack is freed once solved
-        _, (keys, mats) = stacks.popitem()
-        for (table, key), e in zip(keys, sym_eigen_batch(mats)):
-            if not isinstance(e, Exception):
-                table._memo[key] = e.lam
+        bad[..., j] = x[..., -1] <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):  # only where the point form raises
+            out[..., j, :] = np.sort(x ** (1.0 / p), axis=-1)[..., ::-1]
+    return out, bad
+
+
+def _any_point(bad: np.ndarray) -> np.ndarray:
+    """Per member, whether any point of a (members, ...) mask is set."""
+    return bad.reshape(len(bad), -1).any(axis=1)
+
+
+class _TableStack:
+    """Tables of one matrix order n, whose spectra are solved and read a whole grid at a time.
+
+    Member i is ``tables[i]``.  :func:`prefill` solves table matrices of
+    every member and stores their spectra as one array per matrix name, the
+    members leading.  The readers gather a grid from it and compute the
+    spectra of every member at once, with the bits of the tables' point
+    reads, each memoised as a table entry is.  A reader returns ``(values,
+    ok)``: ``ok[i]`` is False where a point read of member i could raise,
+    because a point did not solve, a matrix fails validation or a spectrum
+    fails a positivity check; its values are then meaningless, and its
+    reads must be made on its own table.
+    """
+
+    def __init__(self, tables: Sequence, n: int):
+        self.tables = tuple(tables)
+        self.n = n
+        self._memo: dict = {}
+        # name -> (column of each point, spectra (members, points, n),
+        #          which solved, which came from a factor block of order 2n)
+        self._store: dict[str, tuple[dict, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _gather(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Spectra of ``name`` at ``points`` (members, len(points), n), which
+        members solved all of them, and which spectra came from a block."""
+        store = self._store.get(name)
+        if store is None or not all(pt in store[0] for pt in points):
+            prefill([(self, name, points)])
+            store = self._store[name]
+        cols, lam, solved, block = store
+        idx = [cols[pt] for pt in points]
+        return lam[:, idx], solved[:, idx].all(axis=1), block[:, idx]
+
+    @_entry
+    def spectra(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``table.spectrum(name, *point)`` of every member at each of ``points``."""
+        lam, ok, _ = self._gather(name, points)
+        return lam, ok
+
+    @functools.cached_property
+    def valid(self) -> np.ndarray:
+        """Which members' ``checked()`` returns (every mean reads it first)."""
+        ok = []
+        for table in self.tables:
+            try:
+                table.checked()
+            except Exception:
+                ok.append(False)
+            else:
+                ok.append(True)
+        return np.array(ok, dtype=bool)
+
+    def seed(self, i: int) -> None:
+        """Store member i's solved spectra in its table, where its point reads find them.
+
+        The spectra of factor blocks are kept only in part, so they are left out.
+        """
+        table = self.tables[i]
+        for name, (cols, lam, solved, block) in self._store.items():
+            for pt, j in cols.items():
+                if solved[i, j] and not block[i, j]:
+                    table._memo.setdefault(("spectrum", name, *pt), lam[i, j])
+
+
+class PairStack(_TableStack):
+    """Pair tables of one order, read a grid at a time (see :class:`_TableStack`).
+
+    Every interpolating mean is A at t = 0 and B at t = 1; there a reader
+    takes the spectrum of A or B, as the point reads do.
+    """
+
+    @_entry
+    def eig_spectra(self, i: int) -> np.ndarray:
+        """``eig(i).lam`` of every member that passes validation, NaN for the others."""
+        out = np.full((len(self.tables), self.n), math.nan)
+        for j in np.flatnonzero(self.valid).tolist():
+            out[j] = self.tables[j].eig(i).lam
+        return out
+
+    def with_ends(self, ts: tuple, inner: np.ndarray) -> np.ndarray:
+        """Values over ``ts`` from ``inner``, the values at each t of ``ts``
+        other than 0 and 1 in order: at t = 0 and t = 1 the spectrum of A or B."""
+        out = np.empty((inner.shape[0], len(ts)) + inner.shape[2:])
+        ends = (1,) * (inner.ndim - 3)
+        j = 0
+        for i, t in enumerate(ts):
+            if t == 0.0 or t == 1.0:
+                e = self.eig_spectra(int(t))
+                out[:, i] = e.reshape(e.shape[:1] + ends + e.shape[1:])
+            else:
+                out[:, i] = inner[:, j]
+                j += 1
+        return out
+
+    @_entry
+    def power_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``power_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``."""
+        inner = _inner(ts)
+        lam, ok = self.spectra("power_aggregate", tuple((t, p) for t in inner for p in ps))
+        vals, bad = _root_spectra(lam.reshape(len(lam), len(inner), len(ps), self.n), ps)
+        return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
+
+    @_entry
+    def sandwich_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``."""
+        inner = _inner(ts)
+        lam, ok, block = self._gather("sandwich_matrix", tuple((t, p) for t in inner for p in ps))
+        shape = (len(lam), len(inner), len(ps))
+        lam = lam.reshape(shape + (self.n,))
+        block = block.reshape(shape)
+        vals, bad = _root_spectra(lam, ps)
+        for j, p in enumerate(ps):
+            at = block[..., j]
+            if at.any():  # the upper half of the block spectrum (+sigma, -sigma)
+                vals[..., j, :][at] = lam[..., j, :][at] ** (2.0 / p)
+        bad &= ~block
+        ok = ok & self.valid & ~_any_point(bad)
+        if not all(p > 0.0 for p in ps):  # the point read rejects p <= 0
+            ok = np.zeros_like(ok)
+        return self.with_ends(ts, vals), ok
+
+    @_entry
+    def arithmetic_spectra(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``arithmetic_spectrum(t)`` at each of ``ts``."""
+        lam, ok = self.spectra("arithmetic", tuple((t,) for t in _inner(ts)))
+        return self.with_ends(ts, lam), ok & self.valid
+
+    @_entry
+    def cross_singular_values(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``cross_singular_values(t)`` at each of ``ts``."""
+        lam, ok = self.spectra("cross_gram", tuple((t,) for t in ts))
+        k = np.zeros(lam.shape[:2], dtype=int)
+        for i in np.flatnonzero(ok).tolist():
+            k[i] = [_gram_exponent(self.tables[i].cross(t)) for t in ts]
+        return _gram_roots(lam, k[..., None]), ok
+
+
+class MultiStack(_TableStack):
+    """Multi tables of one order, read a grid at a time (see :class:`_TableStack`)."""
+
+    @_entry
+    def power_mean_spectra(self, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``power_mean_spectrum(p)`` at each of ``ps``."""
+        lam, ok = self.spectra("power_aggregate", tuple((p,) for p in ps))
+        vals, bad = _root_spectra(lam, ps)
+        return vals, ok & ~_any_point(bad)
+
+
+def _inner(ts: tuple) -> tuple:
+    """The t values other than the endpoints 0 and 1, in order."""
+    return tuple(t for t in ts if t != 0.0 and t != 1.0)
+
+
+def prefill(requests) -> None:
+    """Solve the table matrices that ``requests`` name for every member of their stacks.
+
+    Each request ``(stack, name, points)`` names
+    ``table.spectrum(name, *point)`` of every table of ``stack`` at each
+    point; the points already stored are skipped.  The matrices of one
+    member and name are built as one grid by ``_grid(name, points)``, all
+    of them are stacked by order and solved by ``sym_eigen_batch``, and the
+    spectra are stored by stack and name, the members leading, with the
+    first n eigenvalues of a factor block of order 2n.  A member whose grid
+    build raises and a matrix whose solve raises store nothing but the mark
+    that they did not solve: their point reads build and solve them as a
+    fresh table does and raise in their own place.
+    """
+    new: dict[tuple, tuple] = {}  # (stack, name) -> (stack, name, the points to solve)
+    for stack, name, points in requests:
+        have = stack._store.get(name, ({},))[0]
+        pending = new.setdefault((id(stack), name), (stack, name, {}))[2]
+        for pt in points:
+            if pt not in have:
+                pending[pt] = None
+    by_order: dict[int, list] = {}  # order -> [(matrices, stack, name, member, columns)]
+    for stack, name, pending in new.values():
+        points = list(pending)
+        for i, table in enumerate(stack.tables):
+            try:
+                grid = table._grid(name, points) if points else ()
+            except Exception:  # some point raises: its read raises it again
+                continue
+            if isinstance(grid, np.ndarray):
+                by_order.setdefault(grid.shape[-1], []).append((grid, stack, name, i, slice(None)))
+                continue
+            cols: dict[int, list] = {}
+            for j, mat in enumerate(grid):
+                cols.setdefault(mat.shape[-1], []).append(j)
+            for order, js in cols.items():
+                part = np.array([grid[j] for j in js])
+                by_order.setdefault(order, []).append((part, stack, name, i, js))
+    fresh = {
+        key: (np.full((len(stack.tables), len(p), stack.n), math.nan),
+              np.zeros((len(stack.tables), len(p)), dtype=bool),
+              np.zeros((len(stack.tables), len(p)), dtype=bool))
+        for key, (stack, _, p) in new.items()
+    }
+    while by_order:  # each stack is freed once solved
+        order, parts = by_order.popitem()
+        lam, errors = sym_eigen_batch(np.concatenate([part for part, *_ in parts]))
+        good = np.ones(len(lam), dtype=bool)
+        good[list(errors)] = False
+        start = 0
+        for part, stack, name, i, cols in parts:
+            rows = slice(start, start + len(part))
+            start = rows.stop
+            if order < stack.n:
+                continue
+            spectra, solved, block = fresh[id(stack), name]
+            spectra[i, cols] = lam[rows, :stack.n]
+            solved[i, cols] = good[rows]
+            block[i, cols] = order > stack.n
+    for key, arrays in fresh.items():
+        stack, name, pending = new[key]
+        cols, *old = stack._store.get(name, ({},))
+        cols = dict(cols)
+        for pt in pending:
+            cols[pt] = len(cols)
+        if old:
+            arrays = tuple(np.concatenate(pair, axis=1) for pair in zip(old, arrays))
+        for a in arrays:  # shared with the tables that ``seed`` fills
+            a.setflags(write=False)
+        stack._store[name] = (cols, *arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,31 @@ invariant norms.  Each sub-inequality is recorded in a
 :class:`MarginTracker`, whose ``compare`` holds the margin formula of every
 kind; the tightest margin decides the verdict, and a NaN margin fails it.
 
-The properties that run over the (t, p) grid read all their spectra first,
-in a fixed order, then compare each link of their chain in one
-``compare`` call over the whole grid.  The tracker records those margins
-as one compare per point would: by t, then p, then link within the point,
-then k.  That order decides the witness among equal margins, such as the
-exact 0.0 and -0.0 at the endpoints t = 0 and t = 1.
-
-The campaign runner materializes instances in chunks of up to ``_CHUNK``.
-Before any property runs on a chunk, it solves every table spectrum the
+A campaign materializes instances in chunks of up to ``_CHUNK`` and groups
+each chunk by dimension (:class:`_Group`; an instance checked on its own
+is a group of one).  Before any property runs, every table spectrum the
 selected properties read (``_spectra_read``, one list of grid entries per
-property) in one batch per matrix order; the properties then read those
-spectra from the tables, and each instance is dropped once its properties
-ran.
+property) is solved for the whole group, in one batch per matrix order,
+and stored as one array per matrix, the members leading.
+
+Every property but P6, P8 and P11 is stacked: it runs once for the whole
+group, on the first member's check, and each member's check records its
+share.  A stacked property reads whole grids, every member at once, and
+compares each link of its chain in one call over (member, t, p, k).  The
+trackers record those margins as one compare per point would, member by
+member: by t, then p, then link within the point, then k.  That order
+decides the witness among equal margins, such as the exact 0.0 and -0.0
+at the endpoints t = 0 and t = 1.  A member whose reads could raise is
+left out of its group's run and runs alone, reading point by point in
+the order of the property's reads, so the first read that raises raises
+its own error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import time
@@ -41,13 +47,14 @@ import numpy as np
 from .compound import compound_matrix
 from .densela import (
     _gram,
+    _gram_exponent,
     _gram_roots,
     random_pd,
     sym_eigen,
     sym_exp,
     symmetrize,
 )
-from .means import MultiTable, PairTable, prefill
+from .means import MultiStack, MultiTable, PairStack, PairTable, _inner, prefill
 from .spectra import log_prefix
 
 __all__ = [
@@ -178,6 +185,12 @@ class InstanceData:
     def multi_means(self) -> MultiTable:
         return MultiTable(self.multi, self.weights)
 
+    @functools.cached_property
+    def group(self) -> "_Group":
+        """The instances whose stacked properties run together with this one's:
+        its chunk's instances of its dimension in a campaign, else only itself."""
+        return _Group((self,))
+
 
 class _InstanceTable(PairTable):
     """The pair table of an instance, with the matrices that P9 and P12-P15 form.
@@ -195,9 +208,13 @@ class _InstanceTable(PairTable):
         """A_1 + ... + A_m of the weighted matrices (P9)."""
         return symmetrize(sum(self._multi))
 
+    def ab(self) -> np.ndarray:
+        """The product AB (P12)."""
+        return self._mats[0] @ self._mats[1]
+
     def ab_gram(self) -> np.ndarray:
         """X^T X of X = AB, formed as ``singular_values`` forms it (P12)."""
-        return _gram(self._mats[0] @ self._mats[1])
+        return _gram(self.ab())
 
     def pair_sum(self) -> np.ndarray:
         """A + B (P12)."""
@@ -276,6 +293,30 @@ class PropertyResult:
     subineq: int = 0  # sub-inequalities checked
 
 
+def _margins(kind, lhs, rhs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compared values (l, r) of a compare, and its margins (see ``MarginTracker.compare``)."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown comparison kind {kind!r}")
+    l = np.asarray(lhs, dtype=float)
+    r = np.asarray(rhs, dtype=float)
+    if kind == "logsum":
+        l, r = log_prefix(l), log_prefix(r)
+    elif kind in ("KyFan", "sum"):
+        l, r = np.cumsum(l, axis=-1), np.cumsum(r, axis=-1)
+    l, r = np.broadcast_arrays(l, r)
+    if kind in ("sum", "logsum"):
+        # Python's max, which keeps its first argument unless the second is larger.
+        lt, rt = np.abs(l[..., -1:]), np.abs(r[..., -1:])
+        scale = 1.0 + np.where(rt > lt, rt, lt)
+    else:
+        scale = 1.0 + np.maximum(np.abs(l), np.abs(r))
+    return l, r, (-np.abs(l - r) if kind == "eq" else r - l) / scale
+
+
+def _grid_ndim(t, p) -> int:
+    return len(np.broadcast_shapes(np.shape(t), np.shape(p)))
+
+
 class MarginTracker:
     """Accumulates normalized sub-inequality margins, keeping the worst.
 
@@ -290,7 +331,7 @@ class MarginTracker:
         self.witness = Witness()
         self.nan_witness: Witness | None = None
         self.count = 0
-        self._links: list | None = None  # the compares of an open chain
+        self._chain: _Trackers | None = None  # an open chain, recorded at its end
 
     def add(self, margin, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
         m = float(margin)
@@ -300,6 +341,14 @@ class MarginTracker:
             self.witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
         elif math.isnan(m) and self.nan_witness is None:
             self.nan_witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
+
+    def merge(self, other: "MarginTracker") -> None:
+        """Record what ``other`` recorded, as if it were recorded here next."""
+        self.count += other.count
+        if other.worst < self.worst:
+            self.worst, self.witness = other.worst, other.witness
+        if self.nan_witness is None:
+            self.nan_witness = other.nan_witness
 
     def compare(self, kind, lhs, rhs, label=None, *, t=None, p=None):
         """Record lhs <= rhs (lhs == rhs for ``eq``), one sub-inequality per entry.
@@ -325,30 +374,14 @@ class MarginTracker:
         Returns the compared values (l, r): the prefix sums for the prefix
         kinds, broadcast to the grid.
         """
-        if kind not in _KINDS:
-            raise ValueError(f"unknown comparison kind {kind!r}")
-        l = np.asarray(lhs, dtype=float)
-        r = np.asarray(rhs, dtype=float)
-        if kind == "logsum":
-            l, r = log_prefix(l), log_prefix(r)
-        elif kind in ("KyFan", "sum"):
-            l, r = np.cumsum(l, axis=-1), np.cumsum(r, axis=-1)
-        l, r = np.broadcast_arrays(l, r)
-        if kind in ("sum", "logsum"):
-            # Python's max, which keeps its first argument unless the second is larger.
-            lt, rt = np.abs(l[..., -1:]), np.abs(r[..., -1:])
-            scale = 1.0 + np.where(rt > lt, rt, lt)
-        else:
-            scale = 1.0 + np.maximum(np.abs(l), np.abs(r))
-        margins = (-np.abs(l - r) if kind == "eq" else r - l) / scale
+        l, r, margins = _margins(kind, lhs, rhs)
         label = label or kind
-        grid = np.broadcast_shapes(np.shape(t), np.shape(p))
-        if grid or self._links is not None:
-            link = _Link(margins, l, r, label, t, p, len(grid))
-            if self._links is None:
-                self._record([link])
-            else:
-                self._links.append(link)
+        grid_ndim = _grid_ndim(t, p)
+        if grid_ndim or self._chain is not None:
+            group = self._chain or _Trackers(1)
+            group.record(_Link(margins[None], l[None], r[None], label, t, p, grid_ndim))
+            if self._chain is None:
+                self.merge(group.tracker(0))
             return l, r
         if l.ndim == 0:
             self.add(margins, t=t, p=p, norm_id=label, lhs=float(l), rhs=float(r))
@@ -356,6 +389,52 @@ class MarginTracker:
         for k, (m, lv, rv) in enumerate(zip(margins.tolist(), l.tolist(), r.tolist()), 1):
             self.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
         return l, r
+
+    @contextlib.contextmanager
+    def chain(self):
+        """Record the compares made inside as one chain over a shared grid (see
+        :meth:`_Trackers.chain`)."""
+        self._chain = group = _Trackers(1)
+        try:
+            with group.chain():
+                yield
+        finally:
+            self._chain = None
+        self.merge(group.tracker(0))
+
+
+class _Trackers:
+    """The margins of a group's members, recorded together.
+
+    A compare's arrays lead with the member axis; member i's margins are
+    recorded as ``MarginTracker.compare`` would record them, and
+    :meth:`tracker` returns what member i recorded.
+    """
+
+    def __init__(self, members: int):
+        self.count = 0
+        self.worst = np.full(members, math.inf)
+        self._worst_at: list = [None] * members  # (link, flat index) of each worst
+        self._nan_at: list = [None] * members  # and of each first NaN
+        self._links: list | None = None  # the links of an open chain
+
+    def compare(self, kind, lhs, rhs, label=None, *, t=None, p=None):
+        """``MarginTracker.compare`` of every member; returns the compared values."""
+        l, r, margins = _margins(kind, lhs, rhs)
+        self.record(_Link(margins, l, r, label or kind, t, p, _grid_ndim(t, p)))
+        return l, r
+
+    def add(self, margins, *, lhs, rhs, norm_id, t=None, p=None):
+        """Record given margins, one per member and grid point, as ``MarginTracker.add``."""
+        m = np.asarray(margins, dtype=float)
+        l, r = (np.broadcast_to(np.asarray(v, dtype=float), m.shape) for v in (lhs, rhs))
+        self.record(_Link(m, l, r, norm_id, t, p, _grid_ndim(t, p)))
+
+    def record(self, link: "_Link") -> None:
+        if self._links is None:
+            self._record([link])
+        else:
+            self._links.append(link)
 
     @contextlib.contextmanager
     def chain(self):
@@ -374,25 +453,56 @@ class MarginTracker:
         self._record(links)
 
     def _record(self, links: list) -> None:
-        """Record the margins of ``links`` as ``add`` would, in chain order."""
-        flat = [lk.margins.ravel() for lk in links]
-        m = np.concatenate(flat) if len(flat) > 1 else flat[0]
-        self.count += m.size
-        if not m.size:
+        """Record the margins of ``links``, one chain, as ``add`` would, member by member.
+
+        Within a link the chain order is C order, so each link offers its
+        first smallest margin and its first NaN, and the earliest of those
+        offers in chain order is recorded.
+        """
+        members = len(self.worst)
+        self.count += sum(lk.margins.size for lk in links) // members
+        links = [lk for lk in links if lk.margins.size]
+        if not links:
             return
-        starts = np.cumsum([0] + [f.size for f in flat[:-1]])
-        lo = np.fmin.reduce(m)  # NaN only if every margin is
-        if lo < self.worst:
-            self.worst, self.witness = _first(links, starts, np.flatnonzero(m == lo))
-        if self.nan_witness is None:
-            nan = np.flatnonzero(np.isnan(m))
-            if nan.size:
-                self.nan_witness = _first(links, starts, nan)[1]
+        flat = [lk.margins.reshape(members, -1) for lk in links]
+        lows = np.array([np.fmin.reduce(f, axis=1) for f in flat])  # NaN only if every margin is
+        lo = np.fmin.reduce(lows, axis=0)
+        first = [np.argmax(f == low[:, None], axis=1) for f, low in zip(flat, lows)]
+        nans = [np.isnan(f) for f in flat]
+        has_nan = np.array([n.any(axis=1) for n in nans])
+        first_nan = [np.argmax(n, axis=1) for n in nans]
+        if len(links) == 1:
+            win = nan_win = np.zeros(members, dtype=int)
+        else:
+            win = _earliest(links, first, lows == lo)
+            nan_win = _earliest(links, first_nan, has_nan)
+        for i in np.flatnonzero(lo < self.worst).tolist():
+            w = win[i]
+            j = first[w][i]
+            self.worst[i] = flat[w][i, j]
+            self._worst_at[i] = (links[w], j)
+        for i in np.flatnonzero(has_nan.any(axis=0)).tolist():
+            if self._nan_at[i] is None:
+                w = nan_win[i]
+                self._nan_at[i] = (links[w], first_nan[w][i])
+
+    def tracker(self, i: int) -> MarginTracker:
+        """What member i recorded, as a :class:`MarginTracker`."""
+        tr = MarginTracker()
+        tr.count = self.count
+        if self._worst_at[i] is not None:
+            link, j = self._worst_at[i]
+            tr.worst, tr.witness = link.witness(i, int(j))
+        if self._nan_at[i] is not None:
+            link, j = self._nan_at[i]
+            tr.nan_witness = link.witness(i, int(j))[1]
+        return tr
 
 
 @dataclass
 class _Link:
-    """One grid compare: its margins and compared values, with grid axes leading."""
+    """One compare of every member: margins and compared values shaped
+    (members, *grid[, k]), with the grid axes of ``t`` and ``p``."""
 
     margins: np.ndarray
     l: np.ndarray
@@ -402,42 +512,38 @@ class _Link:
     p: object
     grid_ndim: int
 
-    def key(self, j: int, link: int, rank: int) -> tuple:
-        """Sort key of flat entry j: grid index padded to ``rank`` axes, link, k."""
-        idx = np.unravel_index(j, self.margins.shape)
-        g = self.grid_ndim
-        k = idx[g] if len(idx) > g else 0
-        return (*idx[:g], *(-1,) * (rank - g), link, k)
-
-    def witness(self, j: int) -> tuple[float, Witness]:
-        idx = np.unravel_index(j, self.margins.shape)
+    def witness(self, i: int, j: int) -> tuple[float, Witness]:
+        """(margin, witness) of member i's flat entry j."""
+        shape = self.margins.shape[1:]
+        idx = np.unravel_index(j, shape)
         g = self.grid_ndim
         t, p = (
-            None if v is None else float(np.broadcast_to(v, self.margins.shape[:g])[idx[:g]])
+            None if v is None else float(np.broadcast_to(v, shape[:g])[idx[:g]])
             for v in (self.t, self.p)
         )
         norm_id = f"{self.label}:{idx[g] + 1}" if len(idx) > g else self.label
-        return float(self.margins[idx]), Witness(
-            t=t, p=p, norm_id=norm_id, lhs=float(self.l[idx]), rhs=float(self.r[idx])
+        return float(self.margins[i][idx]), Witness(
+            t=t, p=p, norm_id=norm_id, lhs=float(self.l[i][idx]), rhs=float(self.r[i][idx])
         )
 
 
-def _first(links: list, starts: np.ndarray, candidates: np.ndarray) -> tuple[float, Witness]:
-    """(margin, witness) of the candidate recorded first.
-
-    ``candidates`` index the concatenated margins of ``links``, link i
-    starting at ``starts[i]``; within a chain they are ordered by
-    :meth:`_Link.key`.
-    """
-    if len(links) == 1:
-        return links[0].witness(int(candidates[0]))
-    at = np.searchsorted(starts, candidates, side="right") - 1
+def _earliest(links: list, offers: list, valid: np.ndarray) -> np.ndarray:
+    """Per member, the link whose offer (a flat index per member) comes first in
+    chain order, among the links where ``valid`` (links, members) holds."""
     rank = max(lk.grid_ndim for lk in links)
-    _, i, j = min(
-        (links[i].key(j, i, rank), i, j)
-        for i, j in zip(at.tolist(), (candidates - starts[at]).tolist())
-    )
-    return links[i].witness(j)
+    radix = [1 + max(lk.margins.shape[1 + a] for lk in links if lk.grid_ndim > a)
+             for a in range(rank)]
+    keys = []
+    for li, (lk, j) in enumerate(zip(links, offers)):
+        g = lk.grid_ndim
+        k = math.prod(lk.margins.shape[1 + g:])
+        idx = np.unravel_index(j // k, lk.margins.shape[1:1 + g])
+        key = np.zeros(len(j), dtype=np.int64)
+        for a in range(rank):  # grid index, padded with -1 past a link's own axes
+            key = key * radix[a] + (idx[a] + 1 if a < g else 0)
+        keys.append(key * len(links) + li)
+    keys = np.where(valid, np.array(keys), np.iinfo(np.int64).max)
+    return np.argmin(keys, axis=0)
 
 
 _KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
@@ -445,11 +551,11 @@ _KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
 
 def _abs_desc(lam) -> np.ndarray:
     """|eigenvalues| in descending order: the singular values of a symmetric matrix."""
-    return np.sort(np.abs(lam))[::-1]
+    return np.sort(np.abs(lam), axis=-1)[..., ::-1]
 
 
-def _positive_grid(spec: InstanceSpec) -> list[float]:
-    return [p for p in spec.p_grid if p > 0.0]
+def _positive_grid(spec: InstanceSpec) -> tuple[float, ...]:
+    return tuple(p for p in spec.p_grid if p > 0.0)
 
 
 def paper_pair() -> tuple[np.ndarray, np.ndarray]:
@@ -472,38 +578,278 @@ def paper_counterexample() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# Reads.  A stacked property reads its spectra through a reader: the group's
+# (_GroupReads), every member at once, or one instance's own (_OwnReads),
+# point by point.  Either returns arrays whose leading axis is the member.
+
+
+def _dual(m: PairTable, t: float, p: float) -> np.ndarray:
+    """The p-th root of the product spectrum, the dual side of P5's identity."""
+    # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
+    # is exactly A^p or B^p; its root is then A or B, as for the means.
+    end = m._end(t)
+    if end is not None:
+        return m.eig(end).lam
+    return m.product_spectrum(t, p) ** (1.0 / p)
+
+
+def _dual_spectra(s: PairStack, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    inner = _inner(ts)
+    lam, ok = s.spectra("product", tuple((t, p) for t in inner for p in ps))
+    lam = lam.reshape(len(lam), len(inner), len(ps), s.n)
+    roots = np.empty(lam.shape)
+    for j, p in enumerate(ps):
+        roots[..., j, :] = lam[..., j, :] ** (1.0 / p)
+    return s.with_ends(ts, roots), ok & s.valid
+
+
+def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
+    """Descending spectrum of (sum_i A_i^p)^{1/p}."""
+    return np.sort(multi.power_sum_spectrum(p) ** (1.0 / p))[::-1]
+
+
+def _unnormalized_spectra(s: MultiStack, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
+    lam, ok = s.spectra("power_sum", _points(ps))
+    roots = np.empty(lam.shape)
+    for j, p in enumerate(ps):
+        roots[:, j] = np.sort(lam[:, j] ** (1.0 / p), axis=-1)[:, ::-1]
+    return roots, ok
+
+
+def _points(ts, *rest) -> tuple:
+    return tuple((t, *rest) for t in ts)
+
+
+def _cross_sym_spectra(s: PairStack, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    lam, ok = s.spectra("cross_sym", _points(ts))
+    return _abs_desc(lam), ok
+
+
+def _at_p0(values_ok):
+    values, ok = values_ok
+    return values[:, :, 0], ok
+
+
+# Each read over the t grid (or the (t, p) grid): its point read on the pair
+# table m at t (and p), and its read on the group's PairStack s over ts (and
+# ps), which returns (values, ok).
+_AT_T = {
+    "geometric": (lambda m, t: m.geometric_spectrum(t),
+                  lambda s, ts: s.spectra("geometric", _points(ts))),
+    "log_euclidean": (lambda m, t: m.log_euclidean_spectrum(t),
+                      lambda s, ts: _at_p0(s.power_mean_spectra(ts, (0.0,)))),
+    "sandwich_p1": (lambda m, t: m.sandwich_mean_spectrum(t, 1.0),
+                    lambda s, ts: _at_p0(s.sandwich_mean_spectra(ts, (1.0,)))),
+    "cross_sym": (lambda m, t: _abs_desc(m.spectrum("cross_sym", t)), _cross_sym_spectra),
+    "cross_sv": (lambda m, t: m.cross_singular_values(t), lambda s, ts: s.cross_singular_values(ts)),
+    "arithmetic": (lambda m, t: m.arithmetic_spectrum(t), lambda s, ts: s.arithmetic_spectra(ts)),
+    "product_p1": (lambda m, t: m.product_spectrum(t, 1.0),
+                   lambda s, ts: s.spectra("product", _points(ts, 1.0))),
+    "bab_power": (lambda m, t: m.spectrum("bab_power", t),
+                  lambda s, ts: s.spectra("bab_power", _points(ts))),
+    "chord_gap": (lambda m, t: m.spectrum("chord_gap", t),
+                  lambda s, ts: s.spectra("chord_gap", _points(ts))),
+}
+_AT_TP = {
+    "power_mean": (lambda m, t, p: m.power_mean_spectrum(t, p),
+                   lambda s, ts, ps: s.power_mean_spectra(ts, ps)),
+    "sandwich": (lambda m, t, p: m.sandwich_mean_spectrum(t, p),
+                 lambda s, ts, ps: s.sandwich_mean_spectra(ts, ps)),
+    "dual": (_dual, _dual_spectra),
+}
+# The same for the multi tables, over a p grid.
+_MULTI = {
+    "power_mean": (lambda mm, p: mm.power_mean_spectrum(p), lambda s, ps: s.power_mean_spectra(ps)),
+    "power_sum": (lambda mm, p: mm.power_sum_spectrum(p),
+                  lambda s, ps: s.spectra("power_sum", _points(ps))),
+    "unnormalized": (_unnormalized_power_spectrum, _unnormalized_spectra),
+}
+
+
+def _axes(spec: InstanceSpec, ts, ps) -> tuple[tuple, tuple]:
+    """The t and p axes of a grid read: by default the t grid and the positive p grid."""
+    return (spec.t_values if ts is None else ts), (_positive_grid(spec) if ps is None else ps)
+
+
+class _GroupReads:
+    """The reads of a stacked property for every member of a group at once.
+
+    Each read has the bits of the point reads.  ``ok[i]`` turns False once
+    a read of member i could raise; member i's values are then meaningless,
+    and it runs again on its own.
+    """
+
+    def __init__(self, group: "_Group"):
+        self.spec = group.spec
+        self.pairs = group.pairs
+        self.multis = group.multis
+        self.ok = np.ones(len(group.pairs.tables), dtype=bool)
+
+    def _take(self, values_ok):
+        values, ok = values_ok
+        self.ok &= ok
+        return values
+
+    def grid(self, at_t=(), at_tp=(), ts=None, ps=None) -> tuple[list, list]:
+        """The spectra of each entry of ``at_t`` over t, (members, |t|, n), and of
+        ``at_tp`` over (t, p), (members, |t|, |p|, n)."""
+        ts, ps = _axes(self.spec, ts, ps)
+        return ([self._take(_AT_T[e][1](self.pairs, ts)) for e in at_t],
+                [self._take(_AT_TP[e][1](self.pairs, ts, ps)) for e in at_tp])
+
+    def multi(self, name: str, ps: tuple) -> np.ndarray:
+        """The multi-table spectra ``name`` over ``ps``, (members, |p|, n)."""
+        return self._take(_MULTI[name][1](self.multis, ps))
+
+    def spectrum(self, name: str) -> np.ndarray:
+        """``spectrum(name)`` of the pair table, (members, n)."""
+        return self._take(self.pairs.spectra(name, ((),)))[:, 0]
+
+    def eig(self, i: int) -> np.ndarray:
+        """The spectrum of matrix i (A or B), (members, n)."""
+        self.ok &= self.pairs.valid
+        return self.pairs.eig_spectra(i)
+
+    def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
+        """fn(pair table) of each member, (members, *shape); a member where it raises is no longer ok."""
+        out = np.full((len(self.ok), *shape), fill)
+        for i in np.flatnonzero(self.ok).tolist():
+            try:
+                out[i] = fn(self.pairs.tables[i])
+            except Exception:
+                self.ok[i] = False
+        return out
+
+
+class _OwnReads:
+    """The reads of a stacked property for one instance on its own, point by point.
+
+    The points are read in the order of the property's reads, so the first
+    read that raises raises its own error.  A grid is read by t, then the
+    entries at that t, then by p.
+    """
+
+    def __init__(self, data: InstanceData):
+        self.spec = data.spec
+        self.data = data
+
+    def grid(self, at_t=(), at_tp=(), ts=None, ps=None) -> tuple[list, list]:
+        ts, ps = _axes(self.spec, ts, ps)
+        m = self.data.means
+        rows_t, rows_tp = [], []
+        for t in ts:
+            rows_t += [_AT_T[e][0](m, t) for e in at_t]
+            for p in ps:
+                rows_tp += [_AT_TP[e][0](m, t, p) for e in at_tp]
+        n = self.spec.dim
+        s_t = np.reshape(np.array(rows_t, dtype=float), (1, len(ts), len(at_t), n))
+        s_tp = np.reshape(np.array(rows_tp, dtype=float), (1, len(ts), len(ps), len(at_tp), n))
+        return [s_t[:, :, e] for e in range(len(at_t))], [s_tp[:, :, :, e] for e in range(len(at_tp))]
+
+    def multi(self, name: str, ps: tuple) -> np.ndarray:
+        rows = [_MULTI[name][0](self.data.multi_means, p) for p in ps]
+        return np.reshape(np.array(rows, dtype=float), (1, len(ps), self.spec.dim))
+
+    def spectrum(self, name: str) -> np.ndarray:
+        return self.data.means.spectrum(name)[None]
+
+    def eig(self, i: int) -> np.ndarray:
+        return self.data.means.eig(i).lam[None]
+
+    def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
+        return np.reshape(np.array([fn(self.data.means)]), (1, *shape))
+
+
+class _Group:
+    """Instances of one dimension whose stacked properties are evaluated together.
+
+    A campaign groups each chunk by dimension; an instance checked on its
+    own is a group of one.  The group holds the members' tables as a
+    :class:`PairStack` and a :class:`MultiStack`.  A stacked property runs
+    once for the whole group, on the first member's check, and each
+    member's check then records its share; a member whose reads could
+    raise is left out and runs alone.
+    """
+
+    def __init__(self, members):
+        self.spec = members[0].spec
+        self.pairs = PairStack([d.means for d in members], self.spec.dim)
+        self.multis = MultiStack([d.multi_means for d in members], self.spec.dim)
+        self._shares: dict = {}
+        self._index_of = {id(d.means): i for i, d in enumerate(members)}
+        for d in members:  # InstanceData is frozen: this replaces its group of one
+            object.__setattr__(d, "group", self)
+
+    def _index(self, data: InstanceData) -> int:
+        return self._index_of[id(data.means)]
+
+    def share(self, body, data: InstanceData) -> "MarginTracker | None":
+        """What ``body`` records for ``data``, or None if ``data`` must run alone."""
+        shares = self._shares.get(body)
+        if shares is None:
+            reads = _GroupReads(self)
+            group = _Trackers(len(self.pairs.tables))
+            body(reads, group)
+            shares = self._shares[body] = [
+                group.tracker(i) if ok else None for i, ok in enumerate(reads.ok.tolist())
+            ]
+        return shares[self._index(data)]
+
+    def seed(self, data: InstanceData) -> None:
+        """Store the spectra solved for ``data`` in its own tables."""
+        i = self._index(data)
+        self.pairs.seed(i)
+        self.multis.seed(i)
+
+
+def _stacked(body):
+    """A catalogue entry that runs ``body(reads, trackers)`` once for the whole
+    group of an instance, and records the instance's share.
+
+    An instance left out of its group's run runs ``body`` alone, reading
+    point by point on its own tables, where the spectra its group solved
+    for it are stored first.
+    """
+
+    @functools.wraps(body)
+    def check(data: InstanceData, tr: MarginTracker) -> None:
+        share = data.group.share(body, data)
+        if share is not None:
+            tr.merge(share)
+            return
+        data.group.seed(data)
+        alone = _Trackers(1)
+        body(_OwnReads(data), alone)
+        tr.merge(alone.tracker(0))
+
+    return check
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each vector on the last axis, with the bits of the sum of that
+    vector alone: from 8 entries numpy sums pairwise, in that order only on
+    contiguous rows."""
+    return np.sum(np.ascontiguousarray(x), axis=-1)
+
+
+def _each_power(lam: np.ndarray, exps) -> np.ndarray:
+    """lam ** x for each x of ``exps``, stacked on axis 1, one scalar exponent per call."""
+    out = np.empty((len(lam), len(exps), *lam.shape[1:]))
+    for j, x in enumerate(exps):
+        out[:, j] = lam**x
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The catalogue.
 
 
-def _spectra(rows, *shape) -> np.ndarray:
-    """Spectra read in order, as one array of ``shape`` (whose last axis is n)."""
-    return np.reshape(np.array(rows, dtype=float), shape)
-
-
-def _p1(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p1(r, tr) -> None:
     """lambda_j of the power mean is non-decreasing across the p grid."""
-    means, spec = data.means, data.spec
-    ts, ps = spec.t_values, spec.p_grid
-    s = _spectra([means.power_mean_spectrum(t, p) for t in ts for p in ps], len(ts), len(ps), data.dim)
-    tr.compare("leq", s[:, :-1], s[:, 1:], "lambda", t=np.array(ts)[:, None], p=np.array(ps[1:]))
-
-
-def _grid_reads(spec: InstanceSpec, at_t, at_tp=()) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra read in the order of the t-grid chains: at each t every ``f(t)`` of
-    ``at_t``, then at each positive p every ``f(t, p)`` of ``at_tp``.
-
-    Returns arrays of shapes (|t|, len(at_t), n) and (|t|, |p|, len(at_tp), n).
-    """
-    ts, pos = spec.t_values, _positive_grid(spec)
-    rows_t, rows_tp = [], []
-    for t in ts:
-        rows_t += [f(t) for f in at_t]
-        for p in pos:
-            rows_tp += [f(t, p) for f in at_tp]
-    return (
-        _spectra(rows_t, len(ts), len(at_t), spec.dim),
-        _spectra(rows_tp, len(ts), len(pos), len(at_tp), spec.dim),
-    )
+    ts, ps = r.spec.t_values, r.spec.p_grid
+    _, (s,) = r.grid(at_tp=("power_mean",), ps=ps)
+    tr.compare("leq", s[:, :, :-1], s[:, :, 1:], "lambda", t=np.array(ts)[:, None], p=np.array(ps[1:]))
 
 
 def _tp(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -512,76 +858,53 @@ def _tp(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, t[:, None], np.array(_positive_grid(spec))
 
 
-def _p2(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p2(r, tr) -> None:
     """|||geometric||| <= |||log-Euclidean||| <= |||power mean||| for p > 0."""
-    m = data.means
-    s, s_p = _grid_reads(
-        data.spec, (m.geometric_spectrum, m.log_euclidean_spectrum), (m.power_mean_spectrum,)
-    )
-    t, tp, p = _tp(data.spec)
+    (geo, le), (pm,) = r.grid(("geometric", "log_euclidean"), ("power_mean",))
+    t, tp, p = _tp(r.spec)
     with tr.chain():
-        tr.compare("KyFan", s[:, 0], s[:, 1], t=t)
-        tr.compare("KyFan", s[:, None, 1], s_p[:, :, 0], t=tp, p=p)
+        tr.compare("KyFan", geo, le, t=t)
+        tr.compare("KyFan", le[:, :, None], pm, t=tp, p=p)
 
 
-def _p3(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p3(r, tr) -> None:
     """Same chain refined through the sandwich mean."""
-    m = data.means
-    s, s_p = _grid_reads(
-        data.spec,
-        (m.geometric_spectrum, m.log_euclidean_spectrum),
-        (m.sandwich_mean_spectrum, m.power_mean_spectrum),
-    )
-    t, tp, p = _tp(data.spec)
+    (geo, le), (sw, pm) = r.grid(("geometric", "log_euclidean"), ("sandwich", "power_mean"))
+    t, tp, p = _tp(r.spec)
     with tr.chain():
-        tr.compare("KyFan", s[:, 0], s[:, 1], t=t)
-        tr.compare("KyFan", s[:, None, 1], s_p[:, :, 0], t=tp, p=p)
-        tr.compare("KyFan", s_p[:, :, 0], s_p[:, :, 1], t=tp, p=p)
+        tr.compare("KyFan", geo, le, t=t)
+        tr.compare("KyFan", le[:, :, None], sw, t=tp, p=p)
+        tr.compare("KyFan", sw, pm, t=tp, p=p)
 
 
-def _p4(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p4(r, tr) -> None:
     """Five-link chain at p = 1, ending at the arithmetic path."""
-    m = data.means
-    chain, _ = _grid_reads(data.spec, (
-        m.geometric_spectrum,
-        m.log_euclidean_spectrum,
-        lambda t: m.sandwich_mean_spectrum(t, 1.0),
-        lambda t: _abs_desc(m.spectrum("cross_sym", t)),
-        m.cross_singular_values,
-        m.arithmetic_spectrum,
-    ))
-    t = np.array(data.spec.t_values)
-    with tr.chain():
-        for j in range(5):
-            tr.compare("KyFan", chain[:, j], chain[:, j + 1], t=t, p=1.0)
-
-
-def _p5(data: InstanceData, tr: MarginTracker) -> None:
-    """Log-majorization chain and the sandwich/product spectral identity."""
-    m = data.means
-
-    def dual(t, p):
-        # At the weight-collapse endpoints the product A^{(1-t)p} B^{tp}
-        # is exactly A^p or B^p; its root is then A or B, as for the means.
-        end = m._end(t)
-        if end is not None:
-            return m.eig(end).lam
-        return m.product_spectrum(t, p) ** (1.0 / p)
-
-    s, s_p = _grid_reads(
-        data.spec,
-        (m.geometric_spectrum, m.log_euclidean_spectrum),
-        (m.sandwich_mean_spectrum, dual, m.power_mean_spectrum),
+    chain, _ = r.grid(
+        ("geometric", "log_euclidean", "sandwich_p1", "cross_sym", "cross_sv", "arithmetic")
     )
-    sw = s_p[:, :, 0]
-    t, tp, p = _tp(data.spec)
+    t = np.array(r.spec.t_values)
     with tr.chain():
-        lx, ly = tr.compare("logsum", s[:, 0], s[:, 1], t=t)
-        tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=t)
-        lx, ly = tr.compare("logsum", s[:, None, 1], sw, t=tp, p=p)
+        for lhs, rhs in zip(chain, chain[1:]):
+            tr.compare("KyFan", lhs, rhs, t=t, p=1.0)
+
+
+@_stacked
+def _p5(r, tr) -> None:
+    """Log-majorization chain and the sandwich/product spectral identity."""
+    (geo, le), (sw, dual, pm) = r.grid(
+        ("geometric", "log_euclidean"), ("sandwich", "dual", "power_mean")
+    )
+    t, tp, p = _tp(r.spec)
+    with tr.chain():
+        lx, ly = tr.compare("logsum", geo, le, t=t)
+        tr.compare("eq", lx[..., -1], ly[..., -1], "logdet", t=t)
+        lx, ly = tr.compare("logsum", le[:, :, None], sw, t=tp, p=p)
         tr.compare("eq", lx[..., -1], ly[..., -1], "logdet", t=tp, p=p)
-        tr.compare("eq", sw, s_p[:, :, 1], "lambda", t=tp, p=p)
-        tr.compare("logsum", sw, s_p[:, :, 2], t=tp, p=p)
+        tr.compare("eq", sw, dual, "lambda", t=tp, p=p)
+        tr.compare("logsum", sw, pm, t=tp, p=p)
 
 
 def _p6(data: InstanceData, tr: MarginTracker) -> None:
@@ -595,19 +918,19 @@ def _p6(data: InstanceData, tr: MarginTracker) -> None:
     tr.add(l2_geo - l2_le, norm_id="domination-gap", lhs=l2_le, rhs=l2_geo)
 
 
-def _p7(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p7(r, tr) -> None:
     """Midpoint endpoint: majorizations, determinant identity, trace bound."""
-    means = data.means
-    s_geo = means.geometric_spectrum(0.5)
-    s_lee = means.sandwich_mean_spectrum(0.5, 1.0)
+    (s_geo, s_lee), _ = r.grid(("geometric", "sandwich_p1"), ts=(0.5,))
+    s_geo, s_lee = s_geo[:, 0], s_lee[:, 0]
     lx, ly = tr.compare("logsum", s_geo, s_lee, t=0.5)
-    tr.compare("eq", lx[-1], ly[-1], "logdet", t=0.5)
+    tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=0.5)
     tr.compare("sum", s_geo, s_lee, t=0.5)
-    ld_geo = float(np.sum(np.log(s_geo)))
-    ld_ab = 0.5 * float(np.sum(np.log(means.eig(0).lam)) + np.sum(np.log(means.eig(1).lam)))
+    ld_geo = _row_sums(np.log(s_geo))
+    ld_ab = 0.5 * (_row_sums(np.log(r.eig(0))) + _row_sums(np.log(r.eig(1))))
     tr.compare("eq", ld_geo, ld_ab, "logdet", t=0.5)
-    root_product_trace = float(np.trace(means.cross(0.5)))
-    tr.compare("leq", float(np.sum(s_geo)), root_product_trace, "trace", t=0.5)
+    root_product_trace = r.each(lambda m: np.trace(m.cross(0.5)))
+    tr.compare("leq", _row_sums(s_geo), root_product_trace, "trace", t=0.5)
 
 
 def _p8(data: InstanceData, tr: MarginTracker) -> None:
@@ -633,32 +956,28 @@ def _p8(data: InstanceData, tr: MarginTracker) -> None:
         )
 
 
-def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
-    """Descending spectrum of (sum_i A_i^p)^{1/p}."""
-    return np.sort(multi.power_sum_spectrum(p) ** (1.0 / p))[::-1]
-
-
-def _p9(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p9(r, tr) -> None:
     """Multi-matrix monotonicity, unnormalized decrease on (0, 1], sum-power bound."""
-    multi, spec, n = data.multi_means, data.spec, data.dim
-    ps = spec.p_grid
-    s = _spectra([multi.power_mean_spectrum(p) for p in ps], len(ps), n)
-    tr.compare("leq", s[:-1], s[1:], "lambda", p=np.array(ps[1:]))
+    ps = r.spec.p_grid
+    s = r.multi("power_mean", ps)
+    tr.compare("leq", s[:, :-1], s[:, 1:], "lambda", p=np.array(ps[1:]))
 
-    unit_ps = [p for p in ps if 0.0 < p <= 1.0]
-    s = _spectra([_unnormalized_power_spectrum(multi, p) for p in unit_ps], len(unit_ps), n)
-    tr.compare("KyFan", s[1:], s[:-1], p=np.array(unit_ps[1:]))
+    unit_ps = tuple(p for p in ps if 0.0 < p <= 1.0)
+    s = r.multi("unnormalized", unit_ps)
+    tr.compare("KyFan", s[:, 1:], s[:, :-1], p=np.array(unit_ps[1:]))
 
-    lam_sum = data.means.spectrum("multi_sum")
-    s = _spectra([multi.power_sum_spectrum(r) for r in BK_EXPONENTS], len(BK_EXPONENTS), n)
-    tr.compare("KyFan", s, [lam_sum**r for r in BK_EXPONENTS], p=np.array(BK_EXPONENTS))
+    lam_sum = r.spectrum("multi_sum")
+    s = r.multi("power_sum", BK_EXPONENTS)
+    tr.compare("KyFan", s, _each_power(lam_sum, BK_EXPONENTS), p=np.array(BK_EXPONENTS))
 
 
-def _p10(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p10(r, tr) -> None:
     """Multi-matrix log mean norm-dominated by every positive power mean."""
-    multi, pos = data.multi_means, _positive_grid(data.spec)
-    s_le = multi.power_mean_spectrum(0.0)
-    s = _spectra([multi.power_mean_spectrum(p) for p in pos], len(pos), data.dim)
+    pos = _positive_grid(r.spec)
+    s_le = r.multi("power_mean", (0.0,))
+    s = r.multi("power_mean", pos)
     tr.compare("KyFan", s_le, s, p=np.array(pos))
 
 
@@ -674,68 +993,82 @@ def _p11(data: InstanceData, tr: MarginTracker) -> None:
         lam = sym_eigen(symmetrize(block), vectors=False).lam
         scale = 1.0 + float(np.max(np.abs(lam)))
         tr.add(float(lam[-1]) / scale, norm_id=f"{label}:minlam", lhs=float(lam[-1]), rhs=0.0)
-    tr.compare("KyFan", means.geometric_spectrum(0.5), means.cross_singular_values(0.5))
+    # The two spectra as the group read them, or read here if it could not.
+    reads = _GroupReads(data.group)
+    (s_geo, s_roots), _ = reads.grid(("geometric", "cross_sv"), ts=(0.5,))
+    i = data.group._index(data)
+    if not reads.ok[i]:
+        (s_geo, s_roots), _ = _OwnReads(data).grid(("geometric", "cross_sv"), ts=(0.5,))
+        i = 0
+    tr.compare("KyFan", s_geo[i, 0], s_roots[i, 0])
 
 
-def _p12(data: InstanceData, tr: MarginTracker) -> None:
+def _square_roots(m: PairTable) -> float:
+    m.power(0, 0.5)
+    m.power(1, 0.5)
+    return 0.0
+
+
+@_stacked
+def _p12(r, tr) -> None:
     """4 |||AB||| <= |||(A+B)^2||| and the square-root mean chain."""
-    means, spec = data.means, data.spec
-    s_ab = _gram_roots(means.spectrum("ab_gram"))  # the singular values of AB
-    s_sum_sq = means.spectrum("pair_sum") ** 2
+    lam_ab = r.spectrum("ab_gram")
+    s_ab = _gram_roots(lam_ab, r.each(lambda m: _gram_exponent(m.ab()), fill=0)[:, None])
+    s_sum_sq = r.spectrum("pair_sum") ** 2
     # Ky Fan on the prefix sums, the factor 4 applied after the cumsum.
-    tr.compare("leq", np.cumsum(s_ab) * 4.0, np.cumsum(s_sum_sq), "KyFan")
+    tr.compare("leq", np.cumsum(s_ab, axis=-1) * 4.0, np.cumsum(s_sum_sq, axis=-1), "KyFan")
 
     # A^{1/2} and B^{1/2} first: a matrix that is not positive definite
     # fails with the error of its square root.
-    means.power(0, 0.5)
-    means.power(1, 0.5)
-    s_roots = means.cross_singular_values(0.5)
+    r.each(_square_roots)
+    (s_roots,), _ = r.grid(("cross_sv",), ts=(0.5,))
     # ((A^{1/2} + B^{1/2}) / 2)^2 is the power mean at t = 1/2, p = 1/2.
-    s_avg_sq = means.power_mean_spectrum(0.5, 0.5)
-    ps = [p for p in spec.p_grid if p >= 0.5]
-    s = _spectra([means.power_mean_spectrum(0.5, p) for p in ps], len(ps), spec.dim)
-    tr.compare("KyFan", s_roots, s_avg_sq)
-    tr.compare("KyFan", s_avg_sq, s, p=np.array(ps))
+    ps = tuple(p for p in r.spec.p_grid if p >= 0.5)
+    _, (s,) = r.grid(at_tp=("power_mean",), ts=(0.5,), ps=(0.5, *ps))
+    s_avg_sq = s[:, 0, 0]
+    tr.compare("KyFan", s_roots[:, 0], s_avg_sq)
+    tr.compare("KyFan", s_avg_sq[:, None], s[:, 0, 1:], p=np.array(ps))
 
 
-def _p13(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p13(r, tr) -> None:
     """Cross-term majorization and the associated power-product bounds."""
-    means, spec, n = data.means, data.spec, data.dim
-    ts = spec.t_values
+    ts = r.spec.t_values
     t_axis = np.array(ts)
-    s, _ = _grid_reads(spec, (means.geometric_spectrum, lambda t: means.product_spectrum(t, 1.0)))
+    (s_geo, s_prod), _ = r.grid(("geometric", "product_p1"))
     with tr.chain():
-        lx, ly = tr.compare("logsum", s[:, 0], s[:, 1], t=t_axis)
-        tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=t_axis)
+        lx, ly = tr.compare("logsum", s_geo, s_prod, t=t_axis)
+        tr.compare("eq", lx[..., -1], ly[..., -1], "logdet", t=t_axis)
 
-    lam_bab_half = means.spectrum("bab_half")
-    s_geo_mid = means.geometric_spectrum(0.5)
+    lam_bab_half = r.spectrum("bab_half")
+    (s_geo_mid,), _ = r.grid(("geometric",), ts=(0.5,))
+    s_geo_mid = s_geo_mid[:, 0]
     tr.compare("KyFan", s_geo_mid, np.sqrt(lam_bab_half), t=0.5)
     tr.compare("KyFan", s_geo_mid**2, lam_bab_half, t=0.5)
 
-    lam_bab = means.spectrum("bab")
-    s = _spectra([means.spectrum("bab_power", t) for t in ts], len(ts), n)
-    tr.compare("KyFan", s, _spectra([lam_bab**t for t in ts], len(ts), n), t=t_axis)
+    lam_bab = r.spectrum("bab")
+    (s,), _ = r.grid(("bab_power",))
+    tr.compare("KyFan", s, _each_power(lam_bab, ts), t=t_axis)
 
 
-def _p14(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p14(r, tr) -> None:
     """|||A^(1/2) X A^(1/2)||| <= |||(AX + XA)/2||| for symmetric X."""
-    means = data.means
-    lhs = _abs_desc(means.spectrum("x_congruence"))
-    tr.compare("KyFan", lhs, _abs_desc(means.spectrum("x_jordan")))
+    lhs = _abs_desc(r.spectrum("x_congruence"))
+    tr.compare("KyFan", lhs, _abs_desc(r.spectrum("x_jordan")))
 
 
-def _p15(data: InstanceData, tr: MarginTracker) -> None:
+@_stacked
+def _p15(r, tr) -> None:
     """Geodesic below the chord, and the exponential product norm bound."""
-    means, spec = data.means, data.spec
-    for t in spec.t_values:
-        d = means.chord_gap(t)
-        lam = means.spectrum("chord_gap", t)
-        scale = 1.0 + float(np.max(np.abs(d)))
-        tr.add(float(lam[-1]) / scale, t=t, norm_id="loewner:minlam", lhs=float(lam[-1]), rhs=0.0)
+    ts = r.spec.t_values
+    (lam,), _ = r.grid(("chord_gap",))
+    peak = r.each(lambda m: [np.max(np.abs(m.chord_gap(t))) for t in ts], shape=(len(ts),))
+    low = lam[..., -1]
+    tr.add(low / (1.0 + peak), t=np.array(ts), norm_id="loewner:minlam", lhs=low, rhs=0.0)
 
-    s_expsum = np.exp(means.spectrum("log_sum"))
-    tr.compare("KyFan", s_expsum, means.spectrum("exp_product"))
+    s_expsum = np.exp(r.spectrum("log_sum"))
+    tr.compare("KyFan", s_expsum, r.spectrum("exp_product"))
 
 
 _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
@@ -745,50 +1078,55 @@ _CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
 }
 
 
-def _spectra_read(d: InstanceData) -> dict[str, list[tuple]]:
-    """The table spectra each property reads on ``d``, as ``means.prefill`` grid entries.
+def _spectra_read(spec: InstanceSpec) -> dict[str, list[tuple]]:
+    """The table spectra each property reads, as ``means.prefill`` requests of a group.
 
-    Each entry ``(table, name, axes)`` names the reads
-    ``table.spectrum(name, *args)`` over the grid of ``axes``.  run_campaign
-    solves them in batches before any property runs, so each of these reads
-    hits the table; every other spectrum is solved where it is read.
+    Each entry ``(stack, name, axes)`` names the reads
+    ``spectrum(name, *args)`` of the group's ``pairs`` or ``multis`` over the
+    grid of ``axes``.  run_campaign solves them in batches before any
+    property runs; a read of any other spectrum solves it when read.
     """
-    m, mm, spec = d.means, d.multi_means, d.spec
     ts, ps = spec.t_values, spec.p_grid
-    inner = [t for t in ts if t not in (0.0, 1.0)]  # the means are A or B at t = 0, 1
+    inner = _inner(ts)  # the means are A or B at t = 0, 1
     pos = _positive_grid(spec)
-    geo = (m, "geometric", (ts,))
-    log_euclidean = (m, "power_aggregate", (inner, (0.0,)))
-    power = (m, "power_aggregate", (inner, pos))
-    sandwich = (m, "sandwich_matrix", (inner, pos))
+    geo = ("pairs", "geometric", (ts,))
+    log_euclidean = ("pairs", "power_aggregate", (inner, (0.0,)))
+    power = ("pairs", "power_aggregate", (inner, pos))
+    sandwich = ("pairs", "sandwich_matrix", (inner, pos))
     return {
-        "P1": [(m, "power_aggregate", (inner, ps))],
+        "P1": [("pairs", "power_aggregate", (inner, ps))],
         "P2": [geo, log_euclidean, power],
         "P3": [geo, log_euclidean, sandwich, power],
-        "P4": [geo, log_euclidean, (m, "sandwich_matrix", (inner, (1.0,))),
-               (m, "cross_sym", (ts,)), (m, "cross_gram", (ts,)), (m, "arithmetic", (inner,))],
-        "P5": [geo, log_euclidean, sandwich, (m, "product", (inner, pos)), power],
+        "P4": [geo, log_euclidean, ("pairs", "sandwich_matrix", (inner, (1.0,))),
+               ("pairs", "cross_sym", (ts,)), ("pairs", "cross_gram", (ts,)),
+               ("pairs", "arithmetic", (inner,))],
+        "P5": [geo, log_euclidean, sandwich, ("pairs", "product", (inner, pos)), power],
         "P6": [],
-        "P7": [(m, "geometric", ((0.5,),)), (m, "sandwich_matrix", ((0.5,), (1.0,)))],
+        "P7": [("pairs", "geometric", ((0.5,),)), ("pairs", "sandwich_matrix", ((0.5,), (1.0,)))],
         "P8": [],
-        "P9": [(mm, "power_aggregate", (ps,)),
-               (mm, "power_sum", ([p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS),)),
-               (m, "multi_sum", ())],
-        "P10": [(mm, "power_aggregate", ((0.0, *pos),))],
-        "P11": [(m, "geometric", ((0.5,),)), (m, "cross_gram", ((0.5,),))],
-        "P12": [(m, "ab_gram", ()), (m, "pair_sum", ()), (m, "cross_gram", ((0.5,),)),
-                (m, "power_aggregate", ((0.5,), (0.5, *(p for p in ps if p >= 0.5))))],
-        "P13": [geo, (m, "product", (ts, (1.0,))), (m, "bab_half", ()), (m, "geometric", ((0.5,),)),
-                (m, "bab", ()), (m, "bab_power", (ts,))],
-        "P14": [(m, "x_congruence", ()), (m, "x_jordan", ())],
-        "P15": [(m, "chord_gap", (ts,)), (m, "log_sum", ()), (m, "exp_product", ())],
+        "P9": [("multis", "power_aggregate", (ps,)),
+               ("multis", "power_sum", ([p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS),)),
+               ("pairs", "multi_sum", ())],
+        "P10": [("multis", "power_aggregate", ((0.0, *pos),))],
+        "P11": [("pairs", "geometric", ((0.5,),)), ("pairs", "cross_gram", ((0.5,),))],
+        "P12": [("pairs", "ab_gram", ()), ("pairs", "pair_sum", ()),
+                ("pairs", "cross_gram", ((0.5,),)),
+                ("pairs", "power_aggregate", ((0.5,), (0.5, *(p for p in ps if p >= 0.5))))],
+        "P13": [geo, ("pairs", "product", (ts, (1.0,))), ("pairs", "bab_half", ()),
+                ("pairs", "geometric", ((0.5,),)), ("pairs", "bab", ()),
+                ("pairs", "bab_power", (ts,))],
+        "P14": [("pairs", "x_congruence", ()), ("pairs", "x_jordan", ())],
+        "P15": [("pairs", "chord_gap", (ts,)), ("pairs", "log_sum", ()),
+                ("pairs", "exp_product", ())],
     }
 
 
-def _prefill(chunk: list[InstanceData], properties) -> None:
-    """Solve every table spectrum that ``properties`` read on ``chunk``, in batches."""
-    reads = (_spectra_read(d) for d in chunk)
-    prefill([r for by_pid in reads for pid in properties for r in by_pid[pid]])
+def _prefill(group: _Group, properties) -> None:
+    """Solve every table spectrum that ``properties`` read on ``group``, in batches."""
+    reads = _spectra_read(group.spec)
+    stacks = {"pairs": group.pairs, "multis": group.multis}
+    prefill([(stacks[stack], name, tuple(itertools.product(*axes)))
+             for pid in properties for stack, name, axes in reads[pid]])
 
 
 def _classify(worst: float, tol: float) -> tuple[str, bool]:
@@ -1012,7 +1350,11 @@ def run_campaign(
             materialize(build_instance(config, i))
             for i in range(first, min(first + _CHUNK, config.count))
         ]
-        _prefill(chunk, config.properties)
+        by_dim: dict[int, list] = {}
+        for data in chunk:
+            by_dim.setdefault(data.dim, []).append(data)
+        for members in by_dim.values():
+            _prefill(_Group(members), config.properties)
         chunk.reverse()
         while chunk:  # each instance is dropped once its properties ran
             data = chunk.pop()

@@ -196,16 +196,17 @@ def _scalar_spectrum(m, max_sweeps):
 
 
 def _assert_batch_matches(mats, max_sweeps=densela.JACOBI_MAX_SWEEPS):
-    got = sym_eigen_batch(mats, max_sweeps)
-    assert len(got) == len(mats)
-    for m, e in zip(mats, got):
+    lam, errors = sym_eigen_batch(mats, max_sweeps)
+    assert lam.shape == (len(mats), np.shape(mats[0])[0])
+    for i, m in enumerate(mats):
         ref = _scalar_spectrum(m, max_sweeps)
         if isinstance(ref, Exception):
+            e = errors[i]
             assert type(e) is type(ref) and str(e) == str(ref)
+            assert np.isnan(lam[i]).all()
         else:
-            assert isinstance(e, EigenDecomposition) and e.q is None
-            assert e.lam.tobytes() == ref.lam.tobytes()
-            assert not e.lam.flags.writeable
+            assert i not in errors
+            assert lam[i].tobytes() == ref.lam.tobytes()
 
 
 def _block_diagonal(n, seed):
@@ -277,7 +278,7 @@ def test_batch_members_converge_and_fail_at_their_own_sweeps():
     assert len(mats) >= densela._BATCH_MIN
     for max_sweeps in range(0, 8):
         _assert_batch_matches(mats, max_sweeps)
-    errors = [e for e in sym_eigen_batch(mats, 1) if isinstance(e, Exception)]
+    errors = list(sym_eigen_batch(mats, 1)[1].values())
     assert errors and all(isinstance(e, JacobiConvergenceError) for e in errors)
     assert all("did not converge after 1 sweeps" in str(e) for e in errors)
 
@@ -291,14 +292,16 @@ def test_batch_bad_member_raises_its_own_error_beside_good_ones():
     skew = mats[7].copy()
     skew[0, 1] += 1e-3
     mats[3], mats[5], mats[7] = nan, inf, skew
-    got = sym_eigen_batch(mats)
+    _, got = sym_eigen_batch(mats)
+    assert sorted(got) == [3, 5, 7]
     assert str(got[3]) == str(got[5]) == "matrix has non-finite entries"
     assert isinstance(got[7], ValueError) and "is not symmetric" in str(got[7])
     _assert_batch_matches(mats)
 
 
 def test_batch_small_stacks_and_shape_errors():
-    assert sym_eigen_batch([]) == []
+    lam, errors = sym_eigen_batch(np.empty((0, 3, 3)))
+    assert lam.shape == (0, 3) and errors == {}
     _assert_batch_matches([random_pd(3, 1.5, 1)])
     with pytest.raises(ValueError, match="stack of square matrices"):
         sym_eigen_batch([np.ones((2, 3))] * densela._BATCH_MIN)
@@ -315,9 +318,9 @@ def test_far_scaled_spectra_match_lapack(scale):
     for m in (np.array([[1.0, 0.5], [0.5, 1.0]]), random_pd(5, 1.5, 3)):
         s = m * scale
         ref = np.linalg.eigvalsh(s)[::-1]
-        batch = sym_eigen_batch([s] * densela._BATCH_MIN)[0]
-        for e in (sym_eigen(s), sym_eigen(s, vectors=False), batch):
-            assert e.lam == pytest.approx(ref, rel=1e-12, abs=0.0)
+        batch = sym_eigen_batch([s] * densela._BATCH_MIN)[0][0]
+        for lam in (sym_eigen(s).lam, sym_eigen(s, vectors=False).lam, batch):
+            assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert np.max(np.abs(sym_eigen(s).reconstruct() - s)) <= 1e-12 * scale
 
 
@@ -344,9 +347,9 @@ def test_power_of_two_scaling_is_exact(m, k, max_sweeps):
        st.lists(_EXPONENTS, min_size=densela._BATCH_MIN, max_size=densela._BATCH_MIN))
 def test_batch_power_of_two_scaling_is_exact(n, seed, ks):
     mats = [_MEMBER_KINDS[i % len(_MEMBER_KINDS)](n, seed + i) for i in range(len(ks))]
-    got = sym_eigen_batch([np.ldexp(m, k) for m, k in zip(mats, ks)])
-    for m, k, e in zip(mats, ks, got):
-        assert e.lam.tobytes() == np.ldexp(sym_eigen(m, vectors=False).lam, k).tobytes()
+    got, _ = sym_eigen_batch([np.ldexp(m, k) for m, k in zip(mats, ks)])
+    for m, k, lam in zip(mats, ks, got):
+        assert lam.tobytes() == np.ldexp(sym_eigen(m, vectors=False).lam, k).tobytes()
     for max_sweeps in (0, 1):
         _assert_batch_matches([np.ldexp(m, k) for m, k in zip(mats, ks)], max_sweeps)
 
@@ -528,6 +531,30 @@ def test_singular_values_of_psd_equal_eigenvalues():
     sv = singular_values(a)
     lam = sym_eigen(a).lam
     assert np.max(np.abs(sv - lam)) <= 1e-9 * (1.0 + lam[0])
+
+
+# x.T x is formed on x scaled by a power of two once its entries would leave
+# the range that sym_eigen solves unscaled, or overflow.
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
+def test_singular_values_far_from_unit_scale(scale):
+    assert singular_values(np.eye(2) * scale).tolist() == [scale, scale]
+    x = np.random.default_rng(3).standard_normal((5, 5))
+    ref = np.linalg.svd(x * scale, compute_uv=False)
+    assert singular_values(x * scale) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_GRAM_INPUTS = _SMALL_INPUTS | st.builds(
+    lambda n, seed: np.random.default_rng(seed).standard_normal((n, n)),
+    st.integers(1, 8), st.integers(0, 10_000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GRAM_INPUTS, _EXPONENTS)
+def test_singular_values_power_of_two_scaling_is_exact(m, k):
+    assert singular_values(np.ldexp(m, k)).tobytes() == np.ldexp(singular_values(m), k).tobytes()
 
 
 # --- require_pd --------------------------------------------------------------

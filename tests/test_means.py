@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 
@@ -473,11 +474,31 @@ _OVERFLOW = ("ValueError: spectral function undefined at eigenvalue np.float64(1
     ids=["b0", "b1", "b2", "b3", "b4"],
 )
 def test_prefill_of_a_grid_that_cannot_stack_reads_as_a_fresh_table(b, errors):
+    # B's table is member 1 of a stack whose member 0 solves everything.
     a = random_pd(3, 1.0, 9)
     table = PairTable(a, b)
+    stack = means.PairStack([PairTable(a, random_pd(3, 1.0, 10)), table], 3)
     axes = ((0.25, 0.5), (0.0, 4.0, -4.0))
-    names = ("power_aggregate", "sandwich_matrix", "product")
-    means.prefill([(table, name, axes) for name in names] + [(table, "geometric", (axes[0],))])
+    requests = [(name, tuple(itertools.product(*axes)))
+                for name in ("power_aggregate", "sandwich_matrix", "product")]
+    means.prefill([(stack, name, pts) for name, pts in requests]
+                  + [(stack, "geometric", tuple((t,) for t in axes[0]))])
+    # A stacked read has the bits of each member's point reads where it is ok,
+    # and is not ok for B's member wherever one of its point reads raises.
+    fresh = [PairTable(a, random_pd(3, 1.0, 10)), PairTable(a, b)]
+    for name, pts in requests:
+        lam, ok = stack.spectra(name, pts)
+        for i, tb in enumerate(fresh):
+            try:
+                want = [tb.spectrum(name, *pt) for pt in pts]
+            except ValueError:
+                assert not ok[i]
+                continue
+            if ok[i]:  # a factor block keeps the upper half of its spectrum
+                assert [x.tobytes() for x in lam[i]] == [w[:3].tobytes() for w in want]
+    assert stack.spectra("power_aggregate", requests[0][1])[1][0]
+    # A member left out of its group's run reads alone, from what it solved.
+    stack.seed(1)
     got = _reads(table)
     assert [r if isinstance(r, str) else None for r in got] == errors
     assert got == _reads(PairTable(a, b))
@@ -486,7 +507,15 @@ def test_prefill_of_a_grid_that_cannot_stack_reads_as_a_fresh_table(b, errors):
 def test_prefill_of_a_multi_grid_with_a_non_pd_member_reads_as_a_fresh_table():
     mats = (random_pd(3, 1.0, 1), np.diag([1.0, 0.0, 2.0]), random_pd(3, 1.0, 2))
     table = MultiTable(mats, (0.2, 0.3, 0.5))
-    means.prefill([(table, "power_aggregate", ((0.0, 1.0),)), (table, "power_sum", ((1.0,),))])
+    good = MultiTable((mats[0], mats[2]), (0.4, 0.6))
+    stack = means.MultiStack([good, table], 3)
+    means.prefill([(stack, "power_aggregate", ((0.0,), (1.0,))), (stack, "power_sum", ((1.0,),))])
+    # The aggregate checks the matrices and raises: nothing of it solved.
+    # The power sum takes only powers, whose checks raise as well.
+    assert list(stack.power_mean_spectra((1.0,))[1]) == [True, False]
+    assert list(stack.spectra("power_sum", ((1.0,),))[1]) == [True, False]
+    assert stack.power_mean_spectra((1.0,))[0][0].tobytes() == good.power_mean_spectrum(1.0).tobytes()
+    stack.seed(1)
     fresh = MultiTable(mats, (0.2, 0.3, 0.5))
     texts = (
         "matrix 1 is not positive definite (smallest eigenvalue 0.000000e+00)",

@@ -21,6 +21,9 @@ The `ties` run has exact 0.0/-0.0 margins at t = 0 and t = 1, where the
 recording order (t, then p, then link, then k) picks the witness; the
 `grids` run takes a p grid without the default points and two interior
 t values, and `ends` only the endpoints t = 0 and t = 1.
+The `groups` run has two chunks whose dimension groups hold 1 to 10
+instances, with error rows among them, and a t grid that repeats and
+descends.
 """
 
 import hashlib
@@ -80,6 +83,11 @@ PINNED = {
         ["--seed", "6", "--count", "12", "--t", "0,1"],
         0,
         "8e99fe3c4fe2a64a6d7e1d0a217154f20c6d3de2f0d5108e10b9e0af17707e9b",
+    ),
+    "groups": (
+        ["--cond", "8", "--seed", "21", "--count", "40", "--dims", "2:7", "--t", "0.5,0.25,0.5"],
+        1,
+        "364fc737477265b199295f65110e18802c7f130560084b391741ad51ec9632a7",
     ),
 }
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import struct
@@ -546,3 +547,56 @@ def test_grid_properties_check_as_many_subinequalities():
     for res in rep.results:
         totals[res.property_id] += res.subineq
     assert totals == _SUBINEQ_DEFAULT_CHUNK
+
+
+# --- a group's compares record each member's share ------------------------------
+
+
+@st.composite
+def _member_chains(draw):
+    """A chain of t-only, then (t, p), links over a (T, P) grid of K-vectors, for
+    each of several members: every array leads with the member axis."""
+    members = draw(st.integers(1, 6))
+    n_t, n_p, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    links = []
+    for shape in [(n_t,)] * draw(st.integers(0, 2)) + [(n_t, n_p)] * draw(st.integers(1, 3)):
+        kind = draw(st.sampled_from(suite._KINDS))
+        scalar = kind in ("leq", "eq") and draw(st.booleans())
+        full = (members, *shape) if scalar else (members, *shape, k)
+        size = math.prod(full)
+        lhs = draw(st.lists(_GRID_ENTRY, min_size=size, max_size=size))
+        rhs = draw(st.lists(_GRID_ENTRY, min_size=size, max_size=size))
+        links.append((kind, np.reshape(lhs, full), np.reshape(rhs, full), len(shape)))
+    return members, n_t, n_p, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(_member_chains(), st.booleans())
+def test_group_compare_records_what_each_member_would_record(chain, chained):
+    members, n_t, n_p, links = chain
+    ts, ps = np.array(_T_AXIS[:n_t]), np.array(_P_AXIS[:n_p])
+    alone = [MarginTracker() for _ in range(members)]
+    trackers = suite._Trackers(members)
+    with np.errstate(all="ignore"):
+        with trackers.chain() if chained else contextlib.nullcontext():
+            got = [trackers.compare(kind, lhs, rhs, kind + "-link",
+                                    **({"t": ts} if rank == 1 else {"t": ts[:, None], "p": ps}))
+                   for kind, lhs, rhs, rank in links]
+        for i, tr in enumerate(alone):
+            with tr.chain() if chained else contextlib.nullcontext():
+                for (kind, lhs, rhs, rank), (gl, gr) in zip(links, got):
+                    where = {"t": ts} if rank == 1 else {"t": ts[:, None], "p": ps}
+                    l, r = tr.compare(kind, lhs[i], rhs[i], kind + "-link", **where)
+                    assert _bits(np.ravel(l)) == _bits(np.ravel(gl[i]))
+                    assert _bits(np.ravel(r)) == _bits(np.ravel(gr[i]))
+    assert [_state(trackers.tracker(i)) for i in range(members)] == [_state(tr) for tr in alone]
+
+
+def test_merge_records_as_if_recorded_next():
+    first, second, both = MarginTracker(), MarginTracker(), MarginTracker()
+    for tr, margins in ((first, (0.5, math.nan)), (second, (-1.0, math.nan, -1.0))):
+        for k, m in enumerate(margins):
+            tr.add(m, norm_id=f"{id(tr)}:{k}", lhs=0.0, rhs=m)
+            both.add(m, norm_id=f"{id(tr)}:{k}", lhs=0.0, rhs=m)
+    first.merge(second)
+    assert _state(first) == _state(both)

@@ -47,18 +47,35 @@ def test_campaign_materializes_each_instance_once(monkeypatch):
     assert len(report.results) == 4 * len(suite.PROPERTY_IDS)
 
 
-def test_power_mean_spectra_are_computed_once_per_instance(computed):
+@pytest.fixture
+def built(monkeypatch):
+    """Count builds of table matrices by (name, *point)."""
+    counts = Counter()
+    real = means._Factored._grid
+
+    def counting(table, name, points):
+        counts.update((name, *pt) for pt in points)
+        return real(table, name, points)
+
+    monkeypatch.setattr(means._Factored, "_grid", counting)
+    return counts
+
+
+def test_power_mean_spectra_are_computed_once_per_instance(built):
+    # The readers share one stored spectrum per power aggregate: each is
+    # built and solved once, on the first read, whichever property reads it.
     spec = suite.InstanceSpec(seed=2, dim=3, cond_exponent=1.0)
     data = materialize(spec)
     for pid in POWER_MEAN_READERS:
         assert evaluate_property(pid, data).status == "pass"
-    grid = {(t, p) for t in spec.t_values for p in spec.p_grid}
-    assert set(computed) == grid
-    assert set(computed.values()) == {1}
+    aggregates = {k: n for k, n in built.items() if k[0] == "power_aggregate"}
+    inner = [t for t in spec.t_values if t not in (0.0, 1.0)]  # the means are A or B at t = 0, 1
+    assert set(aggregates) == {("power_aggregate", t, p) for t in inner for p in spec.p_grid}
+    assert set(aggregates.values()) == {1}
 
-    # A second instance has its own table.
+    # A second instance has its own group and tables.
     evaluate_property("P1", materialize(spec))
-    assert set(computed.values()) == {2}
+    assert {n for k, n in built.items() if k[0] == "power_aggregate"} == {2}
 
 
 def test_raising_entry_raises_the_same_error_in_every_reader(computed):
@@ -160,24 +177,41 @@ def test_paper_counterexample_is_computed_once(solves):
 
 
 def _chunk(cond_exponent, count=6, master_seed=11):
+    """A chunk of instances, grouped by dimension and prefilled as a campaign does it."""
     config = CampaignConfig(master_seed=master_seed, count=count, cond_exponent=cond_exponent)
     return [materialize(build_instance(config, i)) for i in range(count)]
+
+
+def _groups(chunk, properties=suite.PROPERTY_IDS):
+    by_dim = {}
+    for data in chunk:
+        by_dim.setdefault(data.dim, []).append(data)
+    groups = [suite._Group(members) for members in by_dim.values()]
+    for group in groups:
+        suite._prefill(group, properties)
+    return groups
 
 
 @pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
 def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_exponent):
     # The prefill map names every table spectrum a property reads: once the
-    # chunk is prefilled, the tables solve no spectrum of order n on a read.
+    # groups are prefilled, the properties solve no spectrum of order n, in a
+    # batch or on its own, whether a member runs with its group or alone.
     chunk = _chunk(cond_exponent)
     assert len({d.dim for d in chunk}) > 1
-    suite._prefill(chunk, suite.PROPERTY_IDS)
+    _groups(chunk)
     calls = []
 
     def recording(s, max_sweeps=densela.JACOBI_MAX_SWEEPS, vectors=True):
         calls.append((np.shape(s)[0], vectors))
         return densela.sym_eigen(s, max_sweeps, vectors)
 
+    def batch(mats, max_sweeps=densela.JACOBI_MAX_SWEEPS):
+        calls.extend((np.shape(mats)[1], False) for _ in range(len(mats)))
+        return densela.sym_eigen_batch(mats, max_sweeps)
+
     monkeypatch.setattr(means, "sym_eigen", recording)
+    monkeypatch.setattr(means, "sym_eigen_batch", batch)
     for data in chunk:
         calls.clear()
         for pid in suite.PROPERTY_IDS:
@@ -185,27 +219,32 @@ def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_e
         assert (data.dim, False) not in calls
 
 
+def test_default_chunk_runs_no_member_alone(monkeypatch):
+    # In the default regime every member of every group is served by its
+    # group's run; only members whose reads could raise run alone.
+    alone = []
+    monkeypatch.setattr(suite, "_OwnReads", lambda data: alone.append(data) or None)
+    report = suite.run_campaign(CampaignConfig(master_seed=1, count=suite._CHUNK))
+    assert alone == [] and report.total_failures == 0
+
+
 @pytest.mark.parametrize(
     "properties", [suite.PROPERTY_IDS, ("P6", "P8"), ("P2", "P9", "P13")]
 )
 def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
     chunk = _chunk(1.5)
-    suite._prefill(chunk, properties)
-    prefilled = {
-        (id(table), key[1:])
-        for data in chunk
-        for table in (data.means, data.multi_means)
-        for key in table._memo
-        if key[0] == "spectrum"
-    }
+    groups = _groups(chunk, properties)
+    stacks = [s for g in groups for s in (g.pairs, g.multis)]
+    prefilled = {(id(s), name, pt) for s in stacks for name, store in s._store.items()
+                 for pt in store[0]}
     read = set()
-    real = means._Factored.spectrum
+    real = means._TableStack._gather
 
-    def recording(table, name, *args):
-        read.add((id(table), (name, *args)))
-        return real(table, name, *args)
+    def recording(stack, name, points):
+        read.update((id(stack), name, pt) for pt in points)
+        return real(stack, name, points)
 
-    monkeypatch.setattr(means._Factored, "spectrum", recording)
+    monkeypatch.setattr(means._TableStack, "_gather", recording)
     for data in chunk:
         for pid in properties:
             evaluate_property(pid, data)
@@ -232,17 +271,23 @@ def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
             raise
 
     monkeypatch.setattr(means._Factored, "_grid", recording)
-    suite._prefill(chunk, suite.PROPERTY_IDS)
+    groups = _groups(chunk)
     monkeypatch.undo()
     assert raised
+    stacks = [s for g in groups for s in (g.pairs, g.multis)]
     for table, name, points in raised:
-        assert not any(("spectrum", name, *args) in table._memo for args in points)
+        (stack,) = [s for s in stacks if table in s.tables]
+        cols, lam, solved, _ = stack._store[name]
+        i = stack.tables.index(table)
+        assert not any(solved[i, cols[pt]] for pt in points)
+        assert np.isnan(lam[i, [cols[pt] for pt in points]]).all()
 
     for data in chunk:
         for pid in suite.PROPERTY_IDS:
             evaluate_property(pid, data)
     tables = [t for d in chunk for t in (d.means, d.multi_means)]
     assert not any(_stores_an_exception(v) for t in tables for v in t._memo.values())
+    assert not any(_stores_an_exception(v) for s in stacks for v in s._memo.values())
     # A point whose own build raises is never stored, not even by its read.
     for table, name, points in raised:
         for args in points:
