@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print `<exit code> <sha256> <args>` of the `check` JSONL for each byte-identity run.
 
-Run from two checkouts and `diff` the outputs:
+The runs and their pinned digests are the table tests/report_digests.txt.
+Exits 1, naming the runs on stderr, if a run differs from its pin.  Run
+from two checkouts and `diff` the outputs:
     PYTHONPATH=src python3 scripts/report_digests.py > digests.txt
 """
 
@@ -9,24 +11,27 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 from matmeans import cli
 
-RUNS = """--seed 1 --count 100|--cond 4 --seed 1 --count 60|--cond 8 --seed 3 --count 20
---cond 2.5 --seed 7 --count 40|--cond 6 --seed 11 --count 30|--seed 1 --count 2 --dims 7:8
---seed 5 --count 3 --dims 8|--seed 9 --count 60 --dims 2:4 --t 0,0.3,0.5,1
---cond 8 --seed 1 --count 40|--cond 3 --seed 2 --count 40 --dims 2:8
---seed 4 --count 40 --p-grid -3,-1,0,0.3,2 --t 0.1,0.9|--seed 6 --count 40 --t 0,1
---seed 8 --count 35 --t= --p-grid 1|--cond 5 --seed 12 --count 40 --props P3,P5,P7
---seed 13 --count 70 --dims 3|--cond 4 --seed 100 --count 45 --dims 2,5
---cond 10 --seed 3 --count 20|--cond 4 --seed 31 --count 16
---cond 8 --seed 21 --count 40 --dims 2:7 --t 0.5,0.25,0.5"""
+TABLE = Path(__file__).resolve().parent.parent / "tests" / "report_digests.txt"
 
+moved = []
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report.jsonl")
-    for args in RUNS.replace("\n", "|").split("|"):
+    for line in TABLE.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, want_rc, want, *args = line.split()
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["check", *args.split(), "--out", out])
+            rc = cli.main(["check", *args, "--out", out])
         with open(out, "rb") as fh:
-            print(rc, hashlib.sha256(fh.read()).hexdigest(), args, flush=True)
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        print(rc, digest, " ".join(args), flush=True)
+        if (str(rc), digest) != (want_rc, want):
+            moved.append(name)
+if moved:
+    sys.exit(f"differ from the pinned table: {', '.join(moved)}")

@@ -18,17 +18,24 @@ selected properties read (``_spectra_read``, one list of grid entries per
 property) is solved for the whole group, in one batch per matrix order,
 and stored as one array per matrix, the members leading.
 
-Every property but P6, P8 and P11 is stacked: it runs once for the whole
-group, on the first member's check, and each member's check records its
-share.  A stacked property reads whole grids, every member at once, and
-compares each link of its chain in one call over (member, t, p, k).  The
-trackers record those margins as one compare per point would, member by
-member: by t, then p, then link within the point, then k.  That order
+Every catalogue entry is a body ``body(reads, tracker)`` that runs once
+for the whole group, on the first member's check, and records every
+member's margins in one tracker; each member's check takes its share.  A
+body reads whole grids, every member at once, and compares each link of
+its chain in one call over (member, t, p, k); what it computes member by
+member (P8's compounds, P11's blocks) it computes through ``reads.each``.
+The tracker records those margins as one compare per point would, member
+by member: by t, then p, then link within the point, then k.  That order
 decides the witness among equal margins, such as the exact 0.0 and -0.0
 at the endpoints t = 0 and t = 1.  A member whose reads could raise is
-left out of its group's run and runs alone, reading point by point in
-the order of the property's reads, so the first read that raises raises
-its own error.
+left out of its group's run and runs the body alone, reading point by
+point in the order of the property's reads, so the first read that
+raises raises its own error.
+
+``evaluate_property`` is still called once per (instance, property), and
+the group runs inside the first of those calls: the per-layer tracer of
+the benchmark times and counts per such call, and that contract holds
+until it reads per group.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -187,8 +194,8 @@ class InstanceData:
 
     @functools.cached_property
     def group(self) -> "_Group":
-        """The instances whose stacked properties run together with this one's:
-        its chunk's instances of its dimension in a campaign, else only itself."""
+        """The instances whose properties run together with this one's: its
+        chunk's instances of its dimension in a campaign, else only itself."""
         return _Group((self,))
 
 
@@ -317,45 +324,50 @@ def _grid_ndim(t, p) -> int:
     return len(np.broadcast_shapes(np.shape(t), np.shape(p)))
 
 
-class MarginTracker:
-    """Accumulates normalized sub-inequality margins, keeping the worst.
+class _Record(NamedTuple):
+    """What one member recorded: its worst margin and that margin's witness,
+    the witness of its first NaN margin, and the sub-inequalities recorded."""
 
-    A NaN margin is never the worst, so the first one is kept apart: a
-    sub-inequality that evaluated to NaN was not shown to hold.  Margins
-    are recorded in order; the worst is the first of the smallest, and the
-    NaN witness the first NaN.
+    worst: float
+    witness: Witness
+    nan_witness: Witness | None
+    count: int
+
+
+class MarginTracker:
+    """Accumulates normalized sub-inequality margins for each member of a group.
+
+    The arrays of a compare or an ``add`` lead with the member axis; a plain
+    tracker has one member.  Member i's margins are recorded in order, and
+    :meth:`tracker` returns what member i recorded: the worst margin is the
+    first of the smallest, and the first NaN is kept apart, because a NaN
+    margin is never the worst, and a sub-inequality that evaluated to NaN
+    was not shown to hold.
     """
 
-    def __init__(self):
-        self.worst = math.inf
-        self.witness = Witness()
-        self.nan_witness: Witness | None = None
+    def __init__(self, members: int = 1):
         self.count = 0
-        self._chain: _Trackers | None = None  # an open chain, recorded at its end
+        self.worst = np.full(members, math.inf)
+        self._worst_at: list = [None] * members  # (link, flat index) of each worst
+        self._nan_at: list = [None] * members  # and of each first NaN
+        self._links: list | None = None  # the links of an open chain
 
-    def add(self, margin, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
-        m = float(margin)
-        self.count += 1
-        if m < self.worst:
-            self.worst = m
-            self.witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
-        elif math.isnan(m) and self.nan_witness is None:
-            self.nan_witness = Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
-
-    def merge(self, other: "MarginTracker") -> None:
-        """Record what ``other`` recorded, as if it were recorded here next."""
-        self.count += other.count
-        if other.worst < self.worst:
-            self.worst, self.witness = other.worst, other.witness
-        if self.nan_witness is None:
-            self.nan_witness = other.nan_witness
+    def add(self, margins, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
+        """Record given margins, shaped (members, *grid[, k]); a scalar margin,
+        ``lhs`` or ``rhs`` is every member's.  ``lhs`` and ``rhs`` may be None."""
+        m = np.asarray(margins, dtype=float)
+        m = np.broadcast_to(m, m.shape or self.worst.shape)
+        l, r = (None if v is None else np.broadcast_to(np.asarray(v, dtype=float), m.shape)
+                for v in (lhs, rhs))
+        self._put(_Link(m, l, r, norm_id, t, p, _grid_ndim(t, p)))
 
     def compare(self, kind, lhs, rhs, label=None, *, t=None, p=None):
         """Record lhs <= rhs (lhs == rhs for ``eq``), one sub-inequality per entry.
 
-        ``lhs`` and ``rhs`` are two scalars, recorded under ``label``, or two
-        equal-length vectors, whose entry k is recorded under ``label:k``;
-        ``label`` defaults to the kind.  The margin of entry k is:
+        ``lhs`` and ``rhs`` hold a scalar per member, recorded under
+        ``label``, or an equal-length vector per member, whose entry k is
+        recorded under ``label:k``; ``label`` defaults to the kind.  The
+        margin of entry k is:
 
         * ``leq``: (r_k - l_k) / (1 + max(|l_k|, |r_k|));
         * ``eq``: -|l_k - r_k| / (1 + max(|l_k|, |r_k|));
@@ -366,71 +378,19 @@ class MarginTracker:
           totals set the scale of every k.
 
         ``t`` and ``p`` may be arrays: their broadcast shape is a grid, and
-        ``lhs`` and ``rhs`` then carry it as leading axes, one scalar or
-        vector per grid point.  A grid compare records what one compare per
-        point, in C order, would record; inside :meth:`chain` it is one
+        ``lhs`` and ``rhs`` then carry it after the member axis, one scalar
+        or vector per grid point.  A grid compare records what one compare
+        per point, in C order, would record; inside :meth:`chain` it is one
         link of a chain.
 
         Returns the compared values (l, r): the prefix sums for the prefix
         kinds, broadcast to the grid.
         """
         l, r, margins = _margins(kind, lhs, rhs)
-        label = label or kind
-        grid_ndim = _grid_ndim(t, p)
-        if grid_ndim or self._chain is not None:
-            group = self._chain or _Trackers(1)
-            group.record(_Link(margins[None], l[None], r[None], label, t, p, grid_ndim))
-            if self._chain is None:
-                self.merge(group.tracker(0))
-            return l, r
-        if l.ndim == 0:
-            self.add(margins, t=t, p=p, norm_id=label, lhs=float(l), rhs=float(r))
-            return l, r
-        for k, (m, lv, rv) in enumerate(zip(margins.tolist(), l.tolist(), r.tolist()), 1):
-            self.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
+        self._put(_Link(margins, l, r, label or kind, t, p, _grid_ndim(t, p)))
         return l, r
 
-    @contextlib.contextmanager
-    def chain(self):
-        """Record the compares made inside as one chain over a shared grid (see
-        :meth:`_Trackers.chain`)."""
-        self._chain = group = _Trackers(1)
-        try:
-            with group.chain():
-                yield
-        finally:
-            self._chain = None
-        self.merge(group.tracker(0))
-
-
-class _Trackers:
-    """The margins of a group's members, recorded together.
-
-    A compare's arrays lead with the member axis; member i's margins are
-    recorded as ``MarginTracker.compare`` would record them, and
-    :meth:`tracker` returns what member i recorded.
-    """
-
-    def __init__(self, members: int):
-        self.count = 0
-        self.worst = np.full(members, math.inf)
-        self._worst_at: list = [None] * members  # (link, flat index) of each worst
-        self._nan_at: list = [None] * members  # and of each first NaN
-        self._links: list | None = None  # the links of an open chain
-
-    def compare(self, kind, lhs, rhs, label=None, *, t=None, p=None):
-        """``MarginTracker.compare`` of every member; returns the compared values."""
-        l, r, margins = _margins(kind, lhs, rhs)
-        self.record(_Link(margins, l, r, label or kind, t, p, _grid_ndim(t, p)))
-        return l, r
-
-    def add(self, margins, *, lhs, rhs, norm_id, t=None, p=None):
-        """Record given margins, one per member and grid point, as ``MarginTracker.add``."""
-        m = np.asarray(margins, dtype=float)
-        l, r = (np.broadcast_to(np.asarray(v, dtype=float), m.shape) for v in (lhs, rhs))
-        self.record(_Link(m, l, r, norm_id, t, p, _grid_ndim(t, p)))
-
-    def record(self, link: "_Link") -> None:
+    def _put(self, link: "_Link") -> None:
         if self._links is None:
             self._record([link])
         else:
@@ -453,7 +413,7 @@ class _Trackers:
         self._record(links)
 
     def _record(self, links: list) -> None:
-        """Record the margins of ``links``, one chain, as ``add`` would, member by member.
+        """Record the margins of ``links``, one chain, member by member.
 
         Within a link the chain order is C order, so each link offers its
         first smallest margin and its first NaN, and the earliest of those
@@ -486,23 +446,23 @@ class _Trackers:
                 w = nan_win[i]
                 self._nan_at[i] = (links[w], first_nan[w][i])
 
-    def tracker(self, i: int) -> MarginTracker:
-        """What member i recorded, as a :class:`MarginTracker`."""
-        tr = MarginTracker()
-        tr.count = self.count
+    def tracker(self, i: int) -> _Record:
+        """What member i recorded."""
+        worst, witness, nan_witness = math.inf, Witness(), None
         if self._worst_at[i] is not None:
             link, j = self._worst_at[i]
-            tr.worst, tr.witness = link.witness(i, int(j))
+            worst, witness = link.witness(i, int(j))
         if self._nan_at[i] is not None:
             link, j = self._nan_at[i]
-            tr.nan_witness = link.witness(i, int(j))[1]
-        return tr
+            nan_witness = link.witness(i, int(j))[1]
+        return _Record(worst, witness, nan_witness, self.count)
 
 
 @dataclass
 class _Link:
     """One compare of every member: margins and compared values shaped
-    (members, *grid[, k]), with the grid axes of ``t`` and ``p``."""
+    (members, *grid[, k]), with the grid axes of ``t`` and ``p``; the values
+    of an ``add`` may be None."""
 
     margins: np.ndarray
     l: np.ndarray
@@ -522,9 +482,8 @@ class _Link:
             for v in (self.t, self.p)
         )
         norm_id = f"{self.label}:{idx[g] + 1}" if len(idx) > g else self.label
-        return float(self.margins[i][idx]), Witness(
-            t=t, p=p, norm_id=norm_id, lhs=float(self.l[i][idx]), rhs=float(self.r[i][idx])
-        )
+        lhs, rhs = (None if v is None else float(v[i][idx]) for v in (self.l, self.r))
+        return float(self.margins[i][idx]), Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
 
 
 def _earliest(links: list, offers: list, valid: np.ndarray) -> np.ndarray:
@@ -578,7 +537,7 @@ def paper_counterexample() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reads.  A stacked property reads its spectra through a reader: the group's
+# Reads.  A property body reads its spectra through a reader: the group's
 # (_GroupReads), every member at once, or one instance's own (_OwnReads),
 # point by point.  Either returns arrays whose leading axis is the member.
 
@@ -672,7 +631,7 @@ def _axes(spec: InstanceSpec, ts, ps) -> tuple[tuple, tuple]:
 
 
 class _GroupReads:
-    """The reads of a stacked property for every member of a group at once.
+    """The reads of a property body for every member of a group at once.
 
     Each read has the bits of the point reads.  ``ok[i]`` turns False once
     a read of member i could raise; member i's values are then meaningless,
@@ -722,7 +681,7 @@ class _GroupReads:
 
 
 class _OwnReads:
-    """The reads of a stacked property for one instance on its own, point by point.
+    """The reads of a property body for one instance on its own, point by point.
 
     The points are read in the order of the property's reads, so the first
     read that raises raises its own error.  A grid is read by t, then the
@@ -761,14 +720,14 @@ class _OwnReads:
 
 
 class _Group:
-    """Instances of one dimension whose stacked properties are evaluated together.
+    """Instances of one dimension whose properties are evaluated together.
 
     A campaign groups each chunk by dimension; an instance checked on its
     own is a group of one.  The group holds the members' tables as a
-    :class:`PairStack` and a :class:`MultiStack`.  A stacked property runs
-    once for the whole group, on the first member's check, and each
-    member's check then records its share; a member whose reads could
-    raise is left out and runs alone.
+    :class:`PairStack` and a :class:`MultiStack`.  A property runs once for
+    the whole group, on the first member's check, and each member's check
+    then takes its share; a member whose reads could raise is left out and
+    runs alone.
     """
 
     def __init__(self, members):
@@ -783,15 +742,22 @@ class _Group:
     def _index(self, data: InstanceData) -> int:
         return self._index_of[id(data.means)]
 
-    def share(self, body, data: InstanceData) -> "MarginTracker | None":
-        """What ``body`` records for ``data``, or None if ``data`` must run alone."""
-        shares = self._shares.get(body)
+    def share(self, property_id: str, data: InstanceData) -> _Record | None:
+        """What the property records for ``data``, or None if ``data`` must run alone.
+
+        The property runs once for the whole group, on its first member's
+        call.  Numpy's warnings are silenced there: the group computes
+        values for members that it then leaves out, and a member that runs
+        alone warns for itself.
+        """
+        shares = self._shares.get(property_id)
         if shares is None:
             reads = _GroupReads(self)
-            group = _Trackers(len(self.pairs.tables))
-            body(reads, group)
-            shares = self._shares[body] = [
-                group.tracker(i) if ok else None for i, ok in enumerate(reads.ok.tolist())
+            tracker = MarginTracker(len(self.pairs.tables))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _CATALOGUE[property_id](reads, tracker)
+            shares = self._shares[property_id] = [
+                tracker.tracker(i) if ok else None for i, ok in enumerate(reads.ok.tolist())
             ]
         return shares[self._index(data)]
 
@@ -800,29 +766,6 @@ class _Group:
         i = self._index(data)
         self.pairs.seed(i)
         self.multis.seed(i)
-
-
-def _stacked(body):
-    """A catalogue entry that runs ``body(reads, trackers)`` once for the whole
-    group of an instance, and records the instance's share.
-
-    An instance left out of its group's run runs ``body`` alone, reading
-    point by point on its own tables, where the spectra its group solved
-    for it are stored first.
-    """
-
-    @functools.wraps(body)
-    def check(data: InstanceData, tr: MarginTracker) -> None:
-        share = data.group.share(body, data)
-        if share is not None:
-            tr.merge(share)
-            return
-        data.group.seed(data)
-        alone = _Trackers(1)
-        body(_OwnReads(data), alone)
-        tr.merge(alone.tracker(0))
-
-    return check
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -844,7 +787,6 @@ def _each_power(lam: np.ndarray, exps) -> np.ndarray:
 # The catalogue.
 
 
-@_stacked
 def _p1(r, tr) -> None:
     """lambda_j of the power mean is non-decreasing across the p grid."""
     ts, ps = r.spec.t_values, r.spec.p_grid
@@ -858,7 +800,6 @@ def _tp(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, t[:, None], np.array(_positive_grid(spec))
 
 
-@_stacked
 def _p2(r, tr) -> None:
     """|||geometric||| <= |||log-Euclidean||| <= |||power mean||| for p > 0."""
     (geo, le), (pm,) = r.grid(("geometric", "log_euclidean"), ("power_mean",))
@@ -868,7 +809,6 @@ def _p2(r, tr) -> None:
         tr.compare("KyFan", le[:, :, None], pm, t=tp, p=p)
 
 
-@_stacked
 def _p3(r, tr) -> None:
     """Same chain refined through the sandwich mean."""
     (geo, le), (sw, pm) = r.grid(("geometric", "log_euclidean"), ("sandwich", "power_mean"))
@@ -879,7 +819,6 @@ def _p3(r, tr) -> None:
         tr.compare("KyFan", sw, pm, t=tp, p=p)
 
 
-@_stacked
 def _p4(r, tr) -> None:
     """Five-link chain at p = 1, ending at the arithmetic path."""
     chain, _ = r.grid(
@@ -891,7 +830,6 @@ def _p4(r, tr) -> None:
             tr.compare("KyFan", lhs, rhs, t=t, p=1.0)
 
 
-@_stacked
 def _p5(r, tr) -> None:
     """Log-majorization chain and the sandwich/product spectral identity."""
     (geo, le), (sw, dual, pm) = r.grid(
@@ -907,7 +845,7 @@ def _p5(r, tr) -> None:
         tr.compare("logsum", sw, pm, t=tp, p=p)
 
 
-def _p6(data: InstanceData, tr: MarginTracker) -> None:
+def _p6(r, tr) -> None:
     """Fixed 2x2 pair: lambda_2 values land in their bands, domination fails."""
     l2_geo, l2_le = paper_counterexample()
     tr.add(1e-9 - abs(l2_geo - 1.0), norm_id="lambda:2-geo", lhs=l2_geo, rhs=1.0)
@@ -918,7 +856,6 @@ def _p6(data: InstanceData, tr: MarginTracker) -> None:
     tr.add(l2_geo - l2_le, norm_id="domination-gap", lhs=l2_le, rhs=l2_geo)
 
 
-@_stacked
 def _p7(r, tr) -> None:
     """Midpoint endpoint: majorizations, determinant identity, trace bound."""
     (s_geo, s_lee), _ = r.grid(("geometric", "sandwich_p1"), ts=(0.5,))
@@ -933,7 +870,22 @@ def _p7(r, tr) -> None:
     tr.compare("leq", _row_sums(s_geo), root_product_trace, "trace", t=0.5)
 
 
-def _p8(data: InstanceData, tr: MarginTracker) -> None:
+def _compound_residuals(m: PairTable) -> list:
+    """(margin, max |lhs|, max |rhs|) of the residual C_k(G) C_k(A)^-1 C_k(G) = C_k(B)
+    of each k, for G = A # B."""
+    a, b = m._mats
+    g = m.geometric(0.5)
+    out = []
+    for k in range(1, len(g) + 1):
+        cg = compound_matrix(g, k)
+        lhs = cg @ np.linalg.solve(compound_matrix(a, k), cg)
+        rhs = compound_matrix(b, k)
+        l_max, r_max = float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs)))
+        out.append((-float(np.max(np.abs(lhs - rhs))) / (1.0 + max(l_max, r_max)), l_max, r_max))
+    return out
+
+
+def _p8(r, tr) -> None:
     """Compound of the midpoint mean equals the mean of the compounds.
 
     G = A # B is the unique positive definite solution of X A^-1 X = B, and
@@ -941,22 +893,10 @@ def _p8(data: InstanceData, tr: MarginTracker) -> None:
     C_k(A) # C_k(B) exactly when C_k(G) C_k(A)^-1 C_k(G) = C_k(B).  That
     residual takes one LU solve per k and no eigensolve of compound order.
     """
-    a, b, spec = data.a, data.b, data.spec
-    g = data.means.geometric(0.5)
-    for k in range(1, spec.dim + 1):
-        cg = compound_matrix(g, k)
-        lhs = cg @ np.linalg.solve(compound_matrix(a, k), cg)
-        rhs = compound_matrix(b, k)
-        scale = 1.0 + max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        tr.add(
-            -float(np.max(np.abs(lhs - rhs))) / scale,
-            norm_id=f"compound:{k}",
-            lhs=float(np.max(np.abs(lhs))),
-            rhs=float(np.max(np.abs(rhs))),
-        )
+    res = r.each(_compound_residuals, shape=(r.spec.dim, 3))
+    tr.add(res[..., 0], norm_id="compound", lhs=res[..., 1], rhs=res[..., 2])
 
 
-@_stacked
 def _p9(r, tr) -> None:
     """Multi-matrix monotonicity, unnormalized decrease on (0, 1], sum-power bound."""
     ps = r.spec.p_grid
@@ -972,7 +912,6 @@ def _p9(r, tr) -> None:
     tr.compare("KyFan", s, _each_power(lam_sum, BK_EXPONENTS), p=np.array(BK_EXPONENTS))
 
 
-@_stacked
 def _p10(r, tr) -> None:
     """Multi-matrix log mean norm-dominated by every positive power mean."""
     pos = _positive_grid(r.spec)
@@ -981,26 +920,26 @@ def _p10(r, tr) -> None:
     tr.compare("KyFan", s_le, s, p=np.array(pos))
 
 
-def _p11(data: InstanceData, tr: MarginTracker) -> None:
-    """Block positivity certificates; geometric mean vs the root product."""
-    a, b, means = data.a, data.b, data.means
-    g = means.geometric(0.5)
-    w = means.cross(0.5)
-    for label, block in (
-        ("block-geo", np.block([[a, g], [g, b]])),
-        ("block-root", np.block([[a, w], [w.T, b]])),
-    ):
+def _block_minima(m: PairTable) -> list:
+    """(margin, least eigenvalue) of the blocks [[A, G], [G, B]] and [[A, W], [W^T, B]]
+    of G = A # B and the root product W."""
+    a, b = m._mats
+    g = m.geometric(0.5)
+    w = m.cross(0.5)
+    out = []
+    for block in (np.block([[a, g], [g, b]]), np.block([[a, w], [w.T, b]])):
         lam = sym_eigen(symmetrize(block), vectors=False).lam
-        scale = 1.0 + float(np.max(np.abs(lam)))
-        tr.add(float(lam[-1]) / scale, norm_id=f"{label}:minlam", lhs=float(lam[-1]), rhs=0.0)
-    # The two spectra as the group read them, or read here if it could not.
-    reads = _GroupReads(data.group)
-    (s_geo, s_roots), _ = reads.grid(("geometric", "cross_sv"), ts=(0.5,))
-    i = data.group._index(data)
-    if not reads.ok[i]:
-        (s_geo, s_roots), _ = _OwnReads(data).grid(("geometric", "cross_sv"), ts=(0.5,))
-        i = 0
-    tr.compare("KyFan", s_geo[i, 0], s_roots[i, 0])
+        out.append((float(lam[-1]) / (1.0 + float(np.max(np.abs(lam)))), float(lam[-1])))
+    return out
+
+
+def _p11(r, tr) -> None:
+    """Block positivity certificates; geometric mean vs the root product."""
+    minima = r.each(_block_minima, shape=(2, 2))
+    for j, label in enumerate(("block-geo", "block-root")):
+        tr.add(minima[:, j, 0], norm_id=f"{label}:minlam", lhs=minima[:, j, 1], rhs=0.0)
+    (s_geo, s_roots), _ = r.grid(("geometric", "cross_sv"), ts=(0.5,))
+    tr.compare("KyFan", s_geo[:, 0], s_roots[:, 0])
 
 
 def _square_roots(m: PairTable) -> float:
@@ -1009,7 +948,6 @@ def _square_roots(m: PairTable) -> float:
     return 0.0
 
 
-@_stacked
 def _p12(r, tr) -> None:
     """4 |||AB||| <= |||(A+B)^2||| and the square-root mean chain."""
     lam_ab = r.spectrum("ab_gram")
@@ -1030,7 +968,6 @@ def _p12(r, tr) -> None:
     tr.compare("KyFan", s_avg_sq[:, None], s[:, 0, 1:], p=np.array(ps))
 
 
-@_stacked
 def _p13(r, tr) -> None:
     """Cross-term majorization and the associated power-product bounds."""
     ts = r.spec.t_values
@@ -1051,14 +988,12 @@ def _p13(r, tr) -> None:
     tr.compare("KyFan", s, _each_power(lam_bab, ts), t=t_axis)
 
 
-@_stacked
 def _p14(r, tr) -> None:
     """|||A^(1/2) X A^(1/2)||| <= |||(AX + XA)/2||| for symmetric X."""
     lhs = _abs_desc(r.spectrum("x_congruence"))
     tr.compare("KyFan", lhs, _abs_desc(r.spectrum("x_jordan")))
 
 
-@_stacked
 def _p15(r, tr) -> None:
     """Geodesic below the chord, and the exponential product norm bound."""
     ts = r.spec.t_values
@@ -1071,7 +1006,8 @@ def _p15(r, tr) -> None:
     tr.compare("KyFan", s_expsum, r.spectrum("exp_product"))
 
 
-_CATALOGUE: dict[str, Callable[[InstanceData, MarginTracker], None]] = {
+# Each property is a body(reads, tracker) over a group: see _Group.share.
+_CATALOGUE: dict[str, Callable[[_GroupReads | _OwnReads, MarginTracker], None]] = {
     "P1": _p1, "P2": _p2, "P3": _p3, "P4": _p4, "P5": _p5,
     "P6": _p6, "P7": _p7, "P8": _p8, "P9": _p9, "P10": _p10,
     "P11": _p11, "P12": _p12, "P13": _p13, "P14": _p14, "P15": _p15,
@@ -1140,14 +1076,22 @@ def _classify(worst: float, tol: float) -> tuple[str, bool]:
 def evaluate_property(
     property_id: str, data: InstanceData, tolerance: float = DEFAULT_TOLERANCE
 ) -> PropertyResult:
-    """Run one property on materialized instance data."""
-    fn = _CATALOGUE.get(property_id)
-    if fn is None:
+    """Run one property on materialized instance data.
+
+    The first call for a member of ``data.group`` runs the property for the
+    whole group; ``data`` takes its share, or runs alone if it was left out.
+    """
+    body = _CATALOGUE.get(property_id)
+    if body is None:
         raise ValueError(f"unknown property id {property_id!r}")
     tol = _PROPERTY_TOL.get(property_id, tolerance)
-    tr = MarginTracker()
     try:
-        fn(data, tr)
+        rec = data.group.share(property_id, data)
+        if rec is None:  # left out of its group's run: read point by point
+            data.group.seed(data)
+            alone = MarginTracker()
+            body(_OwnReads(data), alone)
+            rec = alone.tracker(0)
     except Exception as exc:  # a crashed check is a failed check
         return PropertyResult(
             property_id=property_id,
@@ -1159,11 +1103,11 @@ def evaluate_property(
             witness=Witness(norm_id="error"),
             error=f"{type(exc).__name__}: {exc}",
         )
-    status, marginal = _classify(tr.worst, tol)
-    worst, witness = tr.worst, tr.witness
-    if tr.nan_witness is not None and status != "fail":
+    status, marginal = _classify(rec.worst, tol)
+    worst, witness = rec.worst, rec.witness
+    if rec.nan_witness is not None and status != "fail":
         # A NaN sub-inequality fails, unless a finite margin already failed.
-        status, marginal, worst, witness = "fail", False, math.nan, tr.nan_witness
+        status, marginal, worst, witness = "fail", False, math.nan, rec.nan_witness
     return PropertyResult(
         property_id=property_id,
         seed=data.spec.seed,
@@ -1172,7 +1116,7 @@ def evaluate_property(
         marginal=marginal,
         worst_margin=worst,
         witness=witness,
-        subineq=tr.count,
+        subineq=rec.count,
     )
 
 

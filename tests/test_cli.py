@@ -110,7 +110,7 @@ def test_check_with_empty_grids_skips_what_checks_nothing(tmp_path, capsys):
 
 
 def test_check_exit_one_on_failure(tmp_path, monkeypatch):
-    def always_fails(data, tr):
+    def always_fails(reads, tr):
         tr.add(-1.0, norm_id="forced")
 
     monkeypatch.setitem(suite._CATALOGUE, "P1", always_fails)

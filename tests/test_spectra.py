@@ -8,24 +8,20 @@ from hypothesis import strategies as st
 from matmeans.densela import pd_power, random_pd, symmetrize
 from matmeans.means import PairTable
 from matmeans.spectra import eigenvalues_desc, ky_fan_norm, log_prefix, schatten_norm
-from matmeans.suite import MarginTracker
+from matmeans.suite import MarginTracker, _margins
 
 
 def margins(kind, x, y):
     """The per-k margins that MarginTracker.compare records for a prefix kind."""
-    tr = MarginTracker()
-    seen = []
-    tr.add = lambda m, **kw: seen.append(m)
-    tr.compare(kind, x, y)
-    return seen
+    return _margins(kind, x, y)[2].tolist()
 
 
 def majorized(kind, x, y, tol=1e-9):
     """Prefix domination plus equal totals, recorded as P5 and P7 record them."""
     tr = MarginTracker()
-    lx, ly = tr.compare(kind, x, y)
-    tr.compare("eq", lx[-1], ly[-1])
-    return tr.worst >= -tol
+    lx, ly = tr.compare(kind, [x], [y])
+    tr.compare("eq", lx[:, -1], ly[:, -1])
+    return tr.tracker(0).worst >= -tol
 
 
 def product_eigenvalues(a, b):

@@ -113,13 +113,25 @@ def test_crashing_check_is_reported_as_failure():
     assert res.worst_margin == -math.inf
 
 
+class _Observed(MarginTracker):
+    """A one-member tracker that keeps every link it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.links = []
+
+    def _record(self, links):
+        self.links += links
+        super()._record(links)
+
+
 def _recorded(kind, lhs, rhs, label=None):
-    """(margin, norm_id, lhs, rhs) of every sub-inequality that compare adds."""
-    tr = MarginTracker()
-    seen = []
-    tr.add = lambda m, **kw: seen.append((m, kw["norm_id"], kw["lhs"], kw["rhs"]))
-    tr.compare(kind, lhs, rhs, label)
-    return seen
+    """(margin, norm_id, lhs, rhs) of every sub-inequality that compare records."""
+    tr = _Observed()
+    tr.compare(kind, np.asarray(lhs, dtype=float)[None], np.asarray(rhs, dtype=float)[None], label)
+    (link,) = tr.links
+    return [(m, w.norm_id, w.lhs, w.rhs)
+            for m, w in (link.witness(0, j) for j in range(link.margins.size))]
 
 
 def _old_scalar(kind, lhs, rhs):
@@ -187,9 +199,9 @@ def test_record_rejects_an_unknown_kind():
 
 
 def _forced(monkeypatch, *margins):
-    """P7 replaced by a check that adds the given margins in order."""
+    """P7 replaced by a body that adds the given margins in order."""
 
-    def check(data, tr):
+    def check(reads, tr):
         for k, m in enumerate(margins, 1):
             tr.add(m, norm_id=f"forced:{k}", lhs=float(k), rhs=m)
 
@@ -359,19 +371,16 @@ def test_p8_residual_sees_a_perturbed_geometric_mean(monkeypatch):
         g = real(self, t)
         return g + 1e-4 * np.eye(g.shape[0]) if t == 0.5 else g
 
-    class Recording(MarginTracker):
-        def add(self, margin, **where):
-            margins[where["norm_id"]] = margin
-            super().add(margin, **where)
-
     spec = InstanceSpec(seed=3, dim=5, cond_exponent=1.5)
     assert evaluate_property("P8", materialize(spec)).status == "pass"
     monkeypatch.setattr(PairTable, "geometric", perturbed)
     assert evaluate_property("P8", materialize(spec)).status == "fail"
-    margins = {}
-    suite._p8(materialize(spec), Recording())
+    tr = _Observed()
+    suite._p8(suite._OwnReads(materialize(spec)), tr)
     # Already the plain matrices, k = 1, fail the residual at P8's 1e-7.
-    assert margins["compound:1"] < -1e-6
+    (link,) = tr.links
+    margin, witness = link.witness(0, 0)
+    assert witness.norm_id == "compound:1" and margin < -1e-6
 
 
 def test_p8_has_no_errors_at_cond_4():
@@ -414,13 +423,15 @@ def _sequential_compare(tr, kind, lhs, rhs, label=None, *, t=None, p=None):
         tr.add(m, t=t, p=p, norm_id=f"{label}:{k}", lhs=lv, rhs=rv)
 
 
-def _state(tr):
+def _state(rec):
+    """The bits of what a member recorded."""
+
     def witness(w):
         if w is None:
             return None
         return (w.t, w.p, w.norm_id, _bits([math.nan if v is None else v for v in (w.lhs, w.rhs)]))
 
-    return _bits([tr.worst]), witness(tr.witness), witness(tr.nan_witness), tr.count
+    return _bits([rec.worst]), witness(rec.witness), witness(rec.nan_witness), rec.count
 
 
 # Few distinct values, so margins tie across points and links, exactly 0.0 or
@@ -462,7 +473,7 @@ def test_grid_compare_records_what_sequential_compares_record(chain, worst_befor
         with grid.chain():
             for kind, lhs, rhs, rank in links:
                 where = {"t": ts} if rank == 1 else {"t": ts[:, None], "p": ps}
-                grid.compare(kind, lhs, rhs, kind + "-link", **where)
+                grid.compare(kind, lhs[None], rhs[None], kind + "-link", **where)
         for i in range(n_t):
             for kind, lhs, rhs, rank in links:
                 if rank == 1:
@@ -474,7 +485,7 @@ def test_grid_compare_records_what_sequential_compares_record(chain, worst_befor
                             seq, kind, lhs[i, j], rhs[i, j], kind + "-link",
                             t=ts[i].item(), p=ps[j].item(),
                         )
-    assert _state(grid) == _state(seq)
+    assert _state(grid.tracker(0)) == _state(seq.tracker(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,31 +498,33 @@ def test_one_grid_compare_records_in_c_order(chain):
     with np.errstate(all="ignore"):
         for kind, lhs, rhs, rank in links:
             if rank == 1:
-                grid.compare(kind, lhs, rhs, t=ts)
+                grid.compare(kind, lhs[None], rhs[None], t=ts)
                 for i in range(n_t):
                     _sequential_compare(seq, kind, lhs[i], rhs[i], t=ts[i].item())
             else:
-                grid.compare(kind, lhs, rhs, p=ps, t=ts[:, None])
+                grid.compare(kind, lhs[None], rhs[None], p=ps, t=ts[:, None])
                 for i in range(n_t):
                     for j in range(n_p):
                         _sequential_compare(
                             seq, kind, lhs[i, j], rhs[i, j], t=ts[i].item(), p=ps[j].item()
                         )
-    assert _state(grid) == _state(seq)
+    assert _state(grid.tracker(0)) == _state(seq.tracker(0))
 
 
 def test_grid_compare_ties_go_to_the_earliest_point_then_link():
     # At t = 0 the second link ties the first link's margin at t = 1; t comes first.
     tr = MarginTracker()
     with tr.chain():
-        tr.compare("leq", [[1.0], [1.0]], [[1.0], [2.0]], "first", t=np.array([1.0, 0.0]))
-        tr.compare("leq", [[2.0], [1.0]], [[2.0], [3.0]], "second", t=np.array([1.0, 0.0]))
-    assert (tr.worst, tr.witness.t, tr.witness.norm_id) == (0.0, 1.0, "first:1")
+        tr.compare("leq", [[[1.0], [1.0]]], [[[1.0], [2.0]]], "first", t=np.array([1.0, 0.0]))
+        tr.compare("leq", [[[2.0], [1.0]]], [[[2.0], [3.0]]], "second", t=np.array([1.0, 0.0]))
+    rec = tr.tracker(0)
+    assert (rec.worst, rec.witness.t, rec.witness.norm_id) == (0.0, 1.0, "first:1")
     tr = MarginTracker()
     with tr.chain():
-        tr.compare("leq", [[1.0], [1.0]], [[2.0], [1.0]], "first", t=np.array([1.0, 0.0]))
-        tr.compare("leq", [[1.0], [1.0]], [[1.0], [1.0]], "second", t=np.array([1.0, 0.0]))
-    assert (tr.witness.t, tr.witness.norm_id) == (1.0, "second:1")
+        tr.compare("leq", [[[1.0], [1.0]]], [[[2.0], [1.0]]], "first", t=np.array([1.0, 0.0]))
+        tr.compare("leq", [[[1.0], [1.0]]], [[[1.0], [1.0]]], "second", t=np.array([1.0, 0.0]))
+    rec = tr.tracker(0)
+    assert (rec.witness.t, rec.witness.norm_id) == (1.0, "second:1")
 
 
 def test_grid_compare_nan_totals_scale_as_python_max():
@@ -519,17 +532,18 @@ def test_grid_compare_nan_totals_scale_as_python_max():
     seq = MarginTracker()
     _sequential_compare(seq, "sum", [1.0, 2.0], [1.0, math.nan], p=1.0)
     tr = MarginTracker()
-    tr.compare("sum", [[1.0, 2.0]], [[1.0, math.nan]], p=np.array([1.0]))
-    assert _state(tr)[:3] == _state(seq)[:3] and tr.worst == 0.0
+    tr.compare("sum", [[[1.0, 2.0]]], [[[1.0, math.nan]]], p=np.array([1.0]))
+    rec = tr.tracker(0)
+    assert _state(rec)[:3] == _state(seq.tracker(0))[:3] and rec.worst == 0.0
 
 
 def test_empty_grid_compare_records_nothing():
     tr = MarginTracker()
     with tr.chain():
-        tr.compare("KyFan", np.zeros((0, 3)), np.zeros((0, 3)), t=np.array([]))
-        tr.compare("eq", np.zeros((0, 2)), np.zeros((0, 2)), t=np.zeros((0, 1)), p=np.zeros(2))
-    tr.compare("leq", np.zeros((2, 0, 3)), np.zeros((2, 0, 3)), t=np.zeros((2, 1)), p=np.zeros(0))
-    assert (tr.count, tr.worst, tr.witness, tr.nan_witness) == (0, math.inf, suite.Witness(), None)
+        tr.compare("KyFan", np.zeros((1, 0, 3)), np.zeros((1, 0, 3)), t=np.array([]))
+        tr.compare("eq", np.zeros((1, 0, 2)), np.zeros((1, 0, 2)), t=np.zeros((0, 1)), p=np.zeros(2))
+    tr.compare("leq", np.zeros((1, 2, 0, 3)), np.zeros((1, 2, 0, 3)), t=np.zeros((2, 1)), p=np.zeros(0))
+    assert tuple(tr.tracker(0)) == (math.inf, suite.Witness(), None, 0)
 
 
 # Sub-inequalities per property over the first default chunk (master seed 1,
@@ -576,7 +590,7 @@ def test_group_compare_records_what_each_member_would_record(chain, chained):
     members, n_t, n_p, links = chain
     ts, ps = np.array(_T_AXIS[:n_t]), np.array(_P_AXIS[:n_p])
     alone = [MarginTracker() for _ in range(members)]
-    trackers = suite._Trackers(members)
+    trackers = MarginTracker(members)
     with np.errstate(all="ignore"):
         with trackers.chain() if chained else contextlib.nullcontext():
             got = [trackers.compare(kind, lhs, rhs, kind + "-link",
@@ -586,17 +600,9 @@ def test_group_compare_records_what_each_member_would_record(chain, chained):
             with tr.chain() if chained else contextlib.nullcontext():
                 for (kind, lhs, rhs, rank), (gl, gr) in zip(links, got):
                     where = {"t": ts} if rank == 1 else {"t": ts[:, None], "p": ps}
-                    l, r = tr.compare(kind, lhs[i], rhs[i], kind + "-link", **where)
+                    l, r = tr.compare(kind, lhs[i:i + 1], rhs[i:i + 1], kind + "-link", **where)
                     assert _bits(np.ravel(l)) == _bits(np.ravel(gl[i]))
                     assert _bits(np.ravel(r)) == _bits(np.ravel(gr[i]))
-    assert [_state(trackers.tracker(i)) for i in range(members)] == [_state(tr) for tr in alone]
-
-
-def test_merge_records_as_if_recorded_next():
-    first, second, both = MarginTracker(), MarginTracker(), MarginTracker()
-    for tr, margins in ((first, (0.5, math.nan)), (second, (-1.0, math.nan, -1.0))):
-        for k, m in enumerate(margins):
-            tr.add(m, norm_id=f"{id(tr)}:{k}", lhs=0.0, rhs=m)
-            both.add(m, norm_id=f"{id(tr)}:{k}", lhs=0.0, rhs=m)
-    first.merge(second)
-    assert _state(first) == _state(both)
+    assert [_state(trackers.tracker(i)) for i in range(members)] == [
+        _state(tr.tracker(0)) for tr in alone
+    ]

@@ -228,6 +228,23 @@ def test_default_chunk_runs_no_member_alone(monkeypatch):
     assert alone == [] and report.total_failures == 0
 
 
+def test_default_chunk_runs_each_body_once_per_group(monkeypatch):
+    # Every property, P6, P8 and P11 included, runs once for each dimension
+    # group of a default chunk, on its first member's call.
+    runs = Counter()
+    for pid, body in list(suite._CATALOGUE.items()):
+        def counting(reads, tr, pid=pid, body=body):
+            runs[(pid, reads.spec.dim)] += 1
+            body(reads, tr)
+
+        monkeypatch.setitem(suite._CATALOGUE, pid, counting)
+    config = CampaignConfig(master_seed=1, count=suite._CHUNK)
+    suite.run_campaign(config)
+    dims = {build_instance(config, i).dim for i in range(config.count)}
+    assert len(dims) > 1
+    assert runs == {(pid, n): 1 for pid in suite.PROPERTY_IDS for n in dims}
+
+
 @pytest.mark.parametrize(
     "properties", [suite.PROPERTY_IDS, ("P6", "P8"), ("P2", "P9", "P13")]
 )
