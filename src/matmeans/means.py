@@ -4,10 +4,10 @@ Every mean is built through the functional calculus of
 :mod:`matmeans.densela`; results are explicitly symmetrized.  The power
 mean is implemented once, as the weighted power mean
 (sum_i w_i A_i^p)^{1/p}, which is exp(sum_i w_i log A_i) at p = 0; a pair
-(A, B) takes weights (1-t, t), and its log-Euclidean mean is p = 0.  Each
-mean that is a spectral transform of one aggregate also has a
-``*_spectrum`` companion: its descending eigenvalues, from a spectrum-only
-solve of the aggregate.
+(A, B) takes weights (1-t, t), and its log-Euclidean mean is p = 0.  A
+table's power and sandwich means and its arithmetic path also have a
+``*_spectrum`` entry: their descending eigenvalues, from a spectrum-only
+solve of the aggregate; :func:`power_mean_spectrum` reads the pair's.
 
 :class:`PairTable` (a pair A, B) and :class:`MultiTable` (weighted
 A_1..A_m) compute the means.  Each matrix of a table is decomposed once,
@@ -17,7 +17,8 @@ use.  The property suite keeps one table per instance; each public
 function checks its scalar arguments and reads one entry of a fresh table.
 
 Every spectrum-only solve of a table matrix is a read of one entry,
-``spectrum(name, *args)``, named after the matrix.  A matrix that the
+``spectrum(name, *args)``, named after the matrix; it is the one read of
+that spectrum.  A matrix that the
 checks read over a grid, such as the power aggregate over (t, p), has one
 builder, the table's ``_grid_<name>(points)``, which returns the stack of
 that matrix at every point; a read of one point takes entry 0 of a
@@ -35,7 +36,9 @@ spectra are kept, not the matrices.  The stacks' readers gather a grid
 from those arrays and compute the mean spectra of every member at once,
 with the bits of the point reads: each root is one call with a scalar
 exponent, and the endpoints t = 0 and t = 1 take the spectra of A and B.
-Each reader also says which members' point reads could raise.
+Each reader also says which members' point reads could raise.  A stack
+never writes into its tables: such a member reads its own tables, as a
+fresh table would.
 """
 
 from __future__ import annotations
@@ -70,13 +73,10 @@ __all__ = [
     "power_mean",
     "power_mean_spectrum",
     "log_euclidean",
-    "log_euclidean_spectrum",
     "arithmetic_path",
     "sandwich_mean",
-    "sandwich_mean_spectrum",
     "cross_term",
     "power_mean_multi",
-    "power_mean_multi_spectrum",
     "PairStack",
     "MultiStack",
     "prefill",
@@ -295,10 +295,6 @@ class PairTable(_Factored):
         rh, ec = self._congruence()
         return symmetrize(rh @ pd_power(ec, [t for t, in points]) @ rh)
 
-    @_entry
-    def geometric_spectrum(self, t: float) -> np.ndarray:
-        return np.array(self.spectrum("geometric", t))
-
     def _grid_power_aggregate(self, points) -> np.ndarray:
         """(1-t) A^p + t B^p, or (1-t) log A + t log B at p = 0, for each (t, p)."""
         return self._aggregate_grid([(1.0 - t, t) for t, _ in points], [p for _, p in points])
@@ -316,12 +312,6 @@ class PairTable(_Factored):
         if end is not None:
             return np.array(self.eig(end).lam)
         return _root_spectrum(self.spectrum("power_aggregate", t, p), p, self._AGGREGATE)
-
-    def log_euclidean(self, t: float) -> np.ndarray:
-        return self.power_mean(t, 0.0)
-
-    def log_euclidean_spectrum(self, t: float) -> np.ndarray:
-        return self.power_mean_spectrum(t, 0.0)
 
     @_entry
     def arithmetic(self, t: float) -> np.ndarray:
@@ -415,10 +405,6 @@ class PairTable(_Factored):
         ah = pd_power(self.eig(0), [(1.0 - t) * p / 2.0 for t, p in points])
         return symmetrize(ah @ pd_power(self.eig(1), [t * p for t, p in points]) @ ah)
 
-    def product_spectrum(self, t: float, p: float) -> np.ndarray:
-        """Descending eigenvalues of the product form at (t, p)."""
-        return self.spectrum("product", t, p)
-
     def bab_power(self, t: float) -> np.ndarray:
         """B^t A^t B^t; only the powers are checked."""
         bt = self.power(1, t)
@@ -473,10 +459,6 @@ class MultiTable(_Factored):
         """sum_i A_i^p (sum_i log A_i at p = 0) for each (p,); only the powers are checked."""
         return self._aggregate_grid([(1.0,) * len(self._mats)] * len(points), [p for p, in points])
 
-    def power_sum_spectrum(self, p: float) -> np.ndarray:
-        """Descending eigenvalues of sum_i A_i^p (sum_i log A_i at p = 0)."""
-        return self.spectrum("power_sum", p)
-
 
 def _root_spectra(lam: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     """``_root_spectrum`` of every spectrum in ``lam`` (..., len(ps), n) at its p.
@@ -513,7 +495,7 @@ class _TableStack:
     ok)``: ``ok[i]`` is False where a point read of member i could raise,
     because a point did not solve, a matrix fails validation or a spectrum
     fails a positivity check; its values are then meaningless, and its
-    reads must be made on its own table.
+    reads must be made on its own table, which the stack never writes to.
     """
 
     def __init__(self, tables: Sequence, n: int):
@@ -553,17 +535,6 @@ class _TableStack:
             else:
                 ok.append(True)
         return np.array(ok, dtype=bool)
-
-    def seed(self, i: int) -> None:
-        """Store member i's solved spectra in its table, where its point reads find them.
-
-        The spectra of factor blocks are kept only in part, so they are left out.
-        """
-        table = self.tables[i]
-        for name, (cols, lam, solved, block) in self._store.items():
-            for pt, j in cols.items():
-                if solved[i, j] and not block[i, j]:
-                    table._memo.setdefault(("spectrum", name, *pt), lam[i, j])
 
 
 class PairStack(_TableStack):
@@ -708,8 +679,6 @@ def prefill(requests) -> None:
         for part, stack, name, i, cols in parts:
             rows = slice(start, start + len(part))
             start = rows.stop
-            if order < stack.n:
-                continue
             spectra, solved, block = fresh[id(stack), name]
             spectra[i, cols] = lam[rows, :stack.n]
             solved[i, cols] = good[rows]
@@ -722,8 +691,6 @@ def prefill(requests) -> None:
             cols[pt] = len(cols)
         if old:
             arrays = tuple(np.concatenate(pair, axis=1) for pair in zip(old, arrays))
-        for a in arrays:  # shared with the tables that ``seed`` fills
-            a.setflags(write=False)
         stack._store[name] = (cols, *arrays)
 
 
@@ -753,13 +720,7 @@ def power_mean_spectrum(a, b, t: float, p: float) -> np.ndarray:
 def log_euclidean(a, b, t: float) -> np.ndarray:
     """exp((1-t) log A + t log B)."""
     _check_t(t)
-    return PairTable(a, b).log_euclidean(t)
-
-
-def log_euclidean_spectrum(a, b, t: float) -> np.ndarray:
-    """Descending eigenvalues of the log-Euclidean mean."""
-    _check_t(t)
-    return PairTable(a, b).log_euclidean_spectrum(t)
+    return PairTable(a, b).power_mean(t, 0.0)
 
 
 def arithmetic_path(a, b, t: float) -> np.ndarray:
@@ -774,12 +735,6 @@ def sandwich_mean(a, b, t: float, p: float) -> np.ndarray:
     return PairTable(a, b).sandwich_mean(t, p)
 
 
-def sandwich_mean_spectrum(a, b, t: float, p: float) -> np.ndarray:
-    """Descending eigenvalues of sandwich_mean(a, b, t, p)."""
-    _check_t(t)
-    return PairTable(a, b).sandwich_mean_spectrum(t, p)
-
-
 def cross_term(a, b, t: float) -> np.ndarray:
     """The generally non-symmetric product A^{1-t} B^t."""
     _check_t(t)
@@ -789,8 +744,3 @@ def cross_term(a, b, t: float) -> np.ndarray:
 def power_mean_multi(mats: Sequence, weights, p: float) -> np.ndarray:
     """(sum_i alpha_i A_i^p)^{1/p}; exp(sum_i alpha_i log A_i) at p = 0."""
     return MultiTable(mats, weights).power_mean(p)
-
-
-def power_mean_multi_spectrum(mats: Sequence, weights, p: float) -> np.ndarray:
-    """Descending eigenvalues of power_mean_multi(mats, weights, p)."""
-    return MultiTable(mats, weights).power_mean_spectrum(p)

@@ -28,9 +28,10 @@ The tracker records those margins as one compare per point would, member
 by member: by t, then p, then link within the point, then k.  That order
 decides the witness among equal margins, such as the exact 0.0 and -0.0
 at the endpoints t = 0 and t = 1.  A member whose reads could raise is
-left out of its group's run and runs the body alone, reading point by
-point in the order of the property's reads, so the first read that
-raises raises its own error.
+left out of its group's run and runs the body alone, reading its own
+tables, which the group never writes to, point by point in the order of
+the property's reads, so the first read that raises raises its own
+error.  Both runs silence numpy's floating-point warnings.
 
 ``evaluate_property`` is still called once per (instance, property), and
 the group runs inside the first of those calls: the per-layer tracer of
@@ -531,8 +532,8 @@ def paper_counterexample() -> tuple[float, float]:
     The pair is fixed, so the two floats are computed once per process.
     """
     means = PairTable(*paper_pair())
-    l2_geo = float(means.geometric_spectrum(0.5)[1])
-    l2_logeuc = float(means.log_euclidean_spectrum(0.5)[1])
+    l2_geo = float(means.spectrum("geometric", 0.5)[1])
+    l2_logeuc = float(means.power_mean_spectrum(0.5, 0.0)[1])
     return l2_geo, l2_logeuc
 
 
@@ -549,7 +550,7 @@ def _dual(m: PairTable, t: float, p: float) -> np.ndarray:
     end = m._end(t)
     if end is not None:
         return m.eig(end).lam
-    return m.product_spectrum(t, p) ** (1.0 / p)
+    return m.spectrum("product", t, p) ** (1.0 / p)
 
 
 def _dual_spectra(s: PairStack, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -564,7 +565,7 @@ def _dual_spectra(s: PairStack, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.nd
 
 def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
     """Descending spectrum of (sum_i A_i^p)^{1/p}."""
-    return np.sort(multi.power_sum_spectrum(p) ** (1.0 / p))[::-1]
+    return np.sort(multi.spectrum("power_sum", p) ** (1.0 / p))[::-1]
 
 
 def _unnormalized_spectra(s: MultiStack, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -584,6 +585,13 @@ def _cross_sym_spectra(s: PairStack, ts: tuple) -> tuple[np.ndarray, np.ndarray]
     return _abs_desc(lam), ok
 
 
+def _entry_reads(name: str, *rest) -> tuple:
+    """The point read ``spectrum(name, x, *rest)`` on a table and its read on a
+    stack over the xs, for the one grid axis x (t, or p for the multi tables)."""
+    return (lambda m, x: m.spectrum(name, x, *rest),
+            lambda s, xs: s.spectra(name, _points(xs, *rest)))
+
+
 def _at_p0(values_ok):
     values, ok = values_ok
     return values[:, :, 0], ok
@@ -593,21 +601,17 @@ def _at_p0(values_ok):
 # table m at t (and p), and its read on the group's PairStack s over ts (and
 # ps), which returns (values, ok).
 _AT_T = {
-    "geometric": (lambda m, t: m.geometric_spectrum(t),
-                  lambda s, ts: s.spectra("geometric", _points(ts))),
-    "log_euclidean": (lambda m, t: m.log_euclidean_spectrum(t),
+    "geometric": _entry_reads("geometric"),
+    "log_euclidean": (lambda m, t: m.power_mean_spectrum(t, 0.0),
                       lambda s, ts: _at_p0(s.power_mean_spectra(ts, (0.0,)))),
     "sandwich_p1": (lambda m, t: m.sandwich_mean_spectrum(t, 1.0),
                     lambda s, ts: _at_p0(s.sandwich_mean_spectra(ts, (1.0,)))),
     "cross_sym": (lambda m, t: _abs_desc(m.spectrum("cross_sym", t)), _cross_sym_spectra),
     "cross_sv": (lambda m, t: m.cross_singular_values(t), lambda s, ts: s.cross_singular_values(ts)),
     "arithmetic": (lambda m, t: m.arithmetic_spectrum(t), lambda s, ts: s.arithmetic_spectra(ts)),
-    "product_p1": (lambda m, t: m.product_spectrum(t, 1.0),
-                   lambda s, ts: s.spectra("product", _points(ts, 1.0))),
-    "bab_power": (lambda m, t: m.spectrum("bab_power", t),
-                  lambda s, ts: s.spectra("bab_power", _points(ts))),
-    "chord_gap": (lambda m, t: m.spectrum("chord_gap", t),
-                  lambda s, ts: s.spectra("chord_gap", _points(ts))),
+    "product_p1": _entry_reads("product", 1.0),
+    "bab_power": _entry_reads("bab_power"),
+    "chord_gap": _entry_reads("chord_gap"),
 }
 _AT_TP = {
     "power_mean": (lambda m, t, p: m.power_mean_spectrum(t, p),
@@ -619,8 +623,7 @@ _AT_TP = {
 # The same for the multi tables, over a p grid.
 _MULTI = {
     "power_mean": (lambda mm, p: mm.power_mean_spectrum(p), lambda s, ps: s.power_mean_spectra(ps)),
-    "power_sum": (lambda mm, p: mm.power_sum_spectrum(p),
-                  lambda s, ps: s.spectra("power_sum", _points(ps))),
+    "power_sum": _entry_reads("power_sum"),
     "unnormalized": (_unnormalized_power_spectrum, _unnormalized_spectra),
 }
 
@@ -739,33 +742,20 @@ class _Group:
         for d in members:  # InstanceData is frozen: this replaces its group of one
             object.__setattr__(d, "group", self)
 
-    def _index(self, data: InstanceData) -> int:
-        return self._index_of[id(data.means)]
-
     def share(self, property_id: str, data: InstanceData) -> _Record | None:
         """What the property records for ``data``, or None if ``data`` must run alone.
 
-        The property runs once for the whole group, on its first member's
-        call.  Numpy's warnings are silenced there: the group computes
-        values for members that it then leaves out, and a member that runs
-        alone warns for itself.
+        The property runs once for the whole group, on its first member's call.
         """
         shares = self._shares.get(property_id)
         if shares is None:
             reads = _GroupReads(self)
             tracker = MarginTracker(len(self.pairs.tables))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                _CATALOGUE[property_id](reads, tracker)
+            _CATALOGUE[property_id](reads, tracker)
             shares = self._shares[property_id] = [
                 tracker.tracker(i) if ok else None for i, ok in enumerate(reads.ok.tolist())
             ]
-        return shares[self._index(data)]
-
-    def seed(self, data: InstanceData) -> None:
-        """Store the spectra solved for ``data`` in its own tables."""
-        i = self._index(data)
-        self.pairs.seed(i)
-        self.multis.seed(i)
+        return shares[self._index_of[id(data.means)]]
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -1080,18 +1070,21 @@ def evaluate_property(
 
     The first call for a member of ``data.group`` runs the property for the
     whole group; ``data`` takes its share, or runs alone if it was left out.
+    Both runs silence numpy's floating-point warnings: the group computes
+    values for members that it then leaves out, and a margin that is NaN
+    fails the check whatever warned.
     """
     body = _CATALOGUE.get(property_id)
     if body is None:
         raise ValueError(f"unknown property id {property_id!r}")
     tol = _PROPERTY_TOL.get(property_id, tolerance)
     try:
-        rec = data.group.share(property_id, data)
-        if rec is None:  # left out of its group's run: read point by point
-            data.group.seed(data)
-            alone = MarginTracker()
-            body(_OwnReads(data), alone)
-            rec = alone.tracker(0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rec = data.group.share(property_id, data)
+            if rec is None:  # left out of its group's run: read point by point
+                alone = MarginTracker()
+                body(_OwnReads(data), alone)
+                rec = alone.tracker(0)
     except Exception as exc:  # a crashed check is a failed check
         return PropertyResult(
             property_id=property_id,

@@ -26,7 +26,7 @@ def majorized(kind, x, y, tol=1e-9):
 
 def product_eigenvalues(a, b):
     """Eigenvalues of A B from the product form A^(1/2) B A^(1/2) of the table."""
-    return PairTable(a, b).product_spectrum(0.5, 2.0)
+    return PairTable(a, b).spectrum("product", 0.5, 2.0)
 
 
 def test_eigenvalues_desc_trivial():
