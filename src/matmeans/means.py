@@ -29,16 +29,16 @@ never stores an error: a read that raised raises again when read again.
 
 :class:`PairStack` and :class:`MultiStack` hold the tables of several
 instances of one order, so that their spectra are solved and read a whole
-grid at a time.  :func:`prefill` builds the named matrices of every
-member, solves them by order with ``sym_eigen_batch`` and stores their
-spectra as one array per matrix name, the members leading; only the
-spectra are kept, not the matrices.  The stacks' readers gather a grid
-from those arrays and compute the mean spectra of every member at once,
-with the bits of the point reads: each root is one call with a scalar
-exponent, and the endpoints t = 0 and t = 1 take the spectra of A and B.
-Each reader also says which members' point reads could raise.  A stack
-never writes into its tables: such a member reads its own tables, as a
-fresh table would.
+grid at a time.  :func:`prefill` fills them once: it builds the named
+matrices of every member, solves them by order with ``sym_eigen_batch``
+and stores only their spectra, one array per matrix name, the members
+leading.  The stacks' readers gather a grid from those arrays (a point
+not filled is a ``KeyError``) and compute the mean spectra of every
+member at once, with the bits of the point reads: each root is one call
+with a scalar exponent, and the endpoints t = 0 and t = 1 take the spectra
+of A and B.  Each reader also says which members' point reads could
+raise.  A stack never writes into its tables: such a member reads its
+own tables, as a fresh table would.
 """
 
 from __future__ import annotations
@@ -487,15 +487,15 @@ def _any_point(bad: np.ndarray) -> np.ndarray:
 class _TableStack:
     """Tables of one matrix order n, whose spectra are solved and read a whole grid at a time.
 
-    Member i is ``tables[i]``.  :func:`prefill` solves table matrices of
-    every member and stores their spectra as one array per matrix name, the
-    members leading.  The readers gather a grid from it and compute the
-    spectra of every member at once, with the bits of the tables' point
-    reads, each memoised as a table entry is.  A reader returns ``(values,
-    ok)``: ``ok[i]`` is False where a point read of member i could raise,
-    because a point did not solve, a matrix fails validation or a spectrum
-    fails a positivity check; its values are then meaningless, and its
-    reads must be made on its own table, which the stack never writes to.
+    Member i is ``tables[i]``.  :func:`prefill` fills the stack once with the
+    spectra of table matrices of every member, one array per matrix name, the
+    members leading.  The readers gather every grid from it and compute the
+    spectra of every member at once, with the bits of the tables' point reads,
+    each memoised as a table entry is.  A reader returns ``(values, ok)``:
+    ``ok[i]`` is False where a point read of member i could raise, because a
+    point did not solve, a matrix fails validation or a spectrum fails a
+    positivity check; its values are then meaningless, and its reads must be
+    made on its own table, which the stack never writes to.
     """
 
     def __init__(self, tables: Sequence, n: int):
@@ -509,11 +509,7 @@ class _TableStack:
     def _gather(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Spectra of ``name`` at ``points`` (members, len(points), n), which
         members solved all of them, and which spectra came from a block."""
-        store = self._store.get(name)
-        if store is None or not all(pt in store[0] for pt in points):
-            prefill([(self, name, points)])
-            store = self._store[name]
-        cols, lam, solved, block = store
+        cols, lam, solved, block = self._store[name]
         idx = [cols[pt] for pt in points]
         return lam[:, idx], solved[:, idx].all(axis=1), block[:, idx]
 
@@ -577,7 +573,7 @@ class PairStack(_TableStack):
 
     @_entry
     def sandwich_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``."""
+        """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``, every p > 0."""
         inner = _inner(ts)
         lam, ok, block = self._gather("sandwich_matrix", tuple((t, p) for t in inner for p in ps))
         shape = (len(lam), len(inner), len(ps))
@@ -589,10 +585,7 @@ class PairStack(_TableStack):
             if at.any():  # the upper half of the block spectrum (+sigma, -sigma)
                 vals[..., j, :][at] = lam[..., j, :][at] ** (2.0 / p)
         bad &= ~block
-        ok = ok & self.valid & ~_any_point(bad)
-        if not all(p > 0.0 for p in ps):  # the point read rejects p <= 0
-            ok = np.zeros_like(ok)
-        return self.with_ends(ts, vals), ok
+        return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
 
     @_entry
     def arithmetic_spectra(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -627,29 +620,27 @@ def _inner(ts: tuple) -> tuple:
 
 
 def prefill(requests) -> None:
-    """Solve the table matrices that ``requests`` name for every member of their stacks.
+    """Fill the stacks that ``requests`` name: solve their table matrices for every member.
 
     Each request ``(stack, name, points)`` names
     ``table.spectrum(name, *point)`` of every table of ``stack`` at each
-    point; the points already stored are skipped.  The matrices of one
-    member and name are built as one grid by ``_grid(name, points)``, all
-    of them are stacked by order and solved by ``sym_eigen_batch``, and the
-    spectra are stored by stack and name, the members leading, with the
-    first n eigenvalues of a factor block of order 2n.  A member whose grid
-    build raises and a matrix whose solve raises store nothing but the mark
-    that they did not solve: their point reads build and solve them as a
-    fresh table does and raise in their own place.
+    point; one call fills a stack with every point its readers read.  The
+    matrices of one member and name are built as one grid by
+    ``_grid(name, points)``, all of them are stacked by order and solved by
+    ``sym_eigen_batch``, and the spectra are stored by stack and name, the
+    members leading, with the first n eigenvalues of a factor block of
+    order 2n.  A member whose grid build raises and a matrix whose solve
+    raises store nothing but the mark that they did not solve: such a
+    member reads its own table, where the point raises in its own place.
     """
-    new: dict[tuple, tuple] = {}  # (stack, name) -> (stack, name, the points to solve)
+    new: dict[tuple, tuple] = {}  # (stack, name) -> (stack, name, column of each point)
     for stack, name, points in requests:
-        have = stack._store.get(name, ({},))[0]
-        pending = new.setdefault((id(stack), name), (stack, name, {}))[2]
+        columns = new.setdefault((id(stack), name), (stack, name, {}))[2]
         for pt in points:
-            if pt not in have:
-                pending[pt] = None
+            columns.setdefault(pt, len(columns))
     by_order: dict[int, list] = {}  # order -> [(matrices, stack, name, member, columns)]
-    for stack, name, pending in new.values():
-        points = list(pending)
+    for stack, name, columns in new.values():
+        points = list(columns)
         for i, table in enumerate(stack.tables):
             try:
                 grid = table._grid(name, points) if points else ()
@@ -684,14 +675,8 @@ def prefill(requests) -> None:
             solved[i, cols] = good[rows]
             block[i, cols] = order > stack.n
     for key, arrays in fresh.items():
-        stack, name, pending = new[key]
-        cols, *old = stack._store.get(name, ({},))
-        cols = dict(cols)
-        for pt in pending:
-            cols[pt] = len(cols)
-        if old:
-            arrays = tuple(np.concatenate(pair, axis=1) for pair in zip(old, arrays))
-        stack._store[name] = (cols, *arrays)
+        stack, name, columns = new[key]
+        stack._store[name] = (columns, *arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ invariant norms.  Each sub-inequality is recorded in a
 kind; the tightest margin decides the verdict, and a NaN margin fails it.
 
 A campaign materializes instances in chunks of up to ``_CHUNK`` and groups
-each chunk by dimension (:class:`_Group`; an instance checked on its own
-is a group of one).  Before any property runs, every table spectrum the
-selected properties read (``_spectra_read``, one list of grid entries per
-property) is solved for the whole group, in one batch per matrix order,
-and stored as one array per matrix, the members leading.
+each chunk by dimension (:class:`_Group`).  A group fills its stacks once,
+when it is built: every table spectrum the selected properties read
+(``_spectra_read``, one list of grid entries per property) is solved in
+one batch per matrix order and stored as one array per matrix, the
+members leading; a group's read outside that fill is an error.  An
+instance checked on its own has no group and reads point by point.
 
 Every catalogue entry is a body ``body(reads, tracker)`` that runs once
 for the whole group, on the first member's check, and records every
@@ -164,10 +165,10 @@ class InstanceData:
 
     ``means`` holds every mean of (A, B) and ``multi_means`` every power
     mean of the weighted matrices.  Each decomposition, power, mean and
-    spectrum is computed once, on the first read by any property (a
-    campaign solves the grid spectra beforehand, in batches), and the
+    spectrum is computed once, on the first read by any property, and the
     matrices are validated once, so the properties that compare the same
-    spectra share them.
+    spectra share them.  ``group`` is the instance's campaign group, which
+    solves the grid spectra beforehand, in batches, or None.
     """
 
     spec: InstanceSpec
@@ -176,6 +177,7 @@ class InstanceData:
     multi: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
     x_sym: np.ndarray
+    group = None  # not a field: a campaign's _Group sets it on its members
 
     @property
     def seed(self) -> int:
@@ -192,12 +194,6 @@ class InstanceData:
     @functools.cached_property
     def multi_means(self) -> MultiTable:
         return MultiTable(self.multi, self.weights)
-
-    @functools.cached_property
-    def group(self) -> "_Group":
-        """The instances whose properties run together with this one's: its
-        chunk's instances of its dimension in a campaign, else only itself."""
-        return _Group((self,))
 
 
 class _InstanceTable(PairTable):
@@ -723,24 +719,28 @@ class _OwnReads:
 
 
 class _Group:
-    """Instances of one dimension whose properties are evaluated together.
+    """Instances of one dimension whose ``properties`` are evaluated together.
 
-    A campaign groups each chunk by dimension; an instance checked on its
-    own is a group of one.  The group holds the members' tables as a
-    :class:`PairStack` and a :class:`MultiStack`.  A property runs once for
-    the whole group, on the first member's check, and each member's check
-    then takes its share; a member whose reads could raise is left out and
-    runs alone.
+    A campaign groups each chunk by dimension.  The group holds the members'
+    tables as a :class:`PairStack` and a :class:`MultiStack`, and fills them
+    once, when it is built, with every spectrum that ``properties`` read.
+    A property runs once for the whole group, on the first member's check,
+    and each member's check then takes its share; a member whose reads could
+    raise is left out and runs alone.
     """
 
-    def __init__(self, members):
+    def __init__(self, members, properties):
         self.spec = members[0].spec
         self.pairs = PairStack([d.means for d in members], self.spec.dim)
         self.multis = MultiStack([d.multi_means for d in members], self.spec.dim)
         self._shares: dict = {}
         self._index_of = {id(d.means): i for i, d in enumerate(members)}
-        for d in members:  # InstanceData is frozen: this replaces its group of one
+        for d in members:  # InstanceData is frozen
             object.__setattr__(d, "group", self)
+        reads = _spectra_read(self.spec)
+        stacks = {"pairs": self.pairs, "multis": self.multis}
+        prefill([(stacks[stack], name, tuple(itertools.product(*axes)))
+                 for pid in properties for stack, name, axes in reads[pid]])
 
     def share(self, property_id: str, data: InstanceData) -> _Record | None:
         """What the property records for ``data``, or None if ``data`` must run alone.
@@ -996,7 +996,7 @@ def _p15(r, tr) -> None:
     tr.compare("KyFan", s_expsum, r.spectrum("exp_product"))
 
 
-# Each property is a body(reads, tracker) over a group: see _Group.share.
+# Each property is a body(reads, tracker): run over a group by _Group.share, or on _OwnReads.
 _CATALOGUE: dict[str, Callable[[_GroupReads | _OwnReads, MarginTracker], None]] = {
     "P1": _p1, "P2": _p2, "P3": _p3, "P4": _p4, "P5": _p5,
     "P6": _p6, "P7": _p7, "P8": _p8, "P9": _p9, "P10": _p10,
@@ -1009,8 +1009,8 @@ def _spectra_read(spec: InstanceSpec) -> dict[str, list[tuple]]:
 
     Each entry ``(stack, name, axes)`` names the reads
     ``spectrum(name, *args)`` of the group's ``pairs`` or ``multis`` over the
-    grid of ``axes``.  run_campaign solves them in batches before any
-    property runs; a read of any other spectrum solves it when read.
+    grid of ``axes``.  A group solves them in batches when it is built, and
+    its reads take nothing else: any other spectrum is a ``KeyError``.
     """
     ts, ps = spec.t_values, spec.p_grid
     inner = _inner(ts)  # the means are A or B at t = 0, 1
@@ -1047,14 +1047,6 @@ def _spectra_read(spec: InstanceSpec) -> dict[str, list[tuple]]:
     }
 
 
-def _prefill(group: _Group, properties) -> None:
-    """Solve every table spectrum that ``properties`` read on ``group``, in batches."""
-    reads = _spectra_read(group.spec)
-    stacks = {"pairs": group.pairs, "multis": group.multis}
-    prefill([(stacks[stack], name, tuple(itertools.product(*axes)))
-             for pid in properties for stack, name, axes in reads[pid]])
-
-
 def _classify(worst: float, tol: float) -> tuple[str, bool]:
     if worst >= -tol:
         return "pass", False
@@ -1068,8 +1060,9 @@ def evaluate_property(
 ) -> PropertyResult:
     """Run one property on materialized instance data.
 
-    The first call for a member of ``data.group`` runs the property for the
-    whole group; ``data`` takes its share, or runs alone if it was left out.
+    In a campaign, the first call for a member of ``data.group`` runs the
+    property for the whole group; ``data`` takes its share, or runs alone
+    on its own tables, point by point, if it has no group or was left out.
     Both runs silence numpy's floating-point warnings: the group computes
     values for members that it then leaves out, and a margin that is NaN
     fails the check whatever warned.
@@ -1080,8 +1073,8 @@ def evaluate_property(
     tol = _PROPERTY_TOL.get(property_id, tolerance)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
-            rec = data.group.share(property_id, data)
-            if rec is None:  # left out of its group's run: read point by point
+            rec = None if data.group is None else data.group.share(property_id, data)
+            if rec is None:  # no group, or left out of its run: read point by point
                 alone = MarginTracker()
                 body(_OwnReads(data), alone)
                 rec = alone.tracker(0)
@@ -1291,7 +1284,7 @@ def run_campaign(
         for data in chunk:
             by_dim.setdefault(data.dim, []).append(data)
         for members in by_dim.values():
-            _prefill(_Group(members), config.properties)
+            _Group(members, config.properties)  # sets each member's group
         chunk.reverse()
         while chunk:  # each instance is dropped once its properties ran
             data = chunk.pop()

@@ -25,10 +25,14 @@ def test_gen_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_round_trip_full_precision(tmp_path):
+def test_gen_round_trip_full_precision(tmp_path, capsys):
     out = tmp_path / "m.txt"
     run_cli(["gen", "--dim", "4", "--cond", "3", "--seed", "9", "--out", str(out)])
     assert np.array_equal(read_matrix(out), random_pd(4, 3.0, 9))
+    capsys.readouterr()
+    # Without --out the matrix goes to stdout.
+    assert run_cli(["gen", "--dim", "4", "--cond", "3", "--seed", "9"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 @pytest.mark.parametrize("cond", ["inf", "nan"])
@@ -214,6 +218,10 @@ def test_means_identity_pair(tmp_path, capsys):
     # fixed print order
     order = [ln for ln in out.splitlines() if ln.startswith("# ")]
     assert [o.split()[1] for o in order] == list(cli._MEAN_ORDER)
+    # The sandwich mean is defined only for p > 0.
+    assert run_cli(["means", "--a", str(path), "--b", str(path), "--p", "-1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("# sandwich (t=0.5, p=-1)") + 1] == "undefined for p <= 0"
 
 
 def test_means_commuting_diagonal_matches_scalar(tmp_path, capsys):
@@ -256,7 +264,9 @@ def test_means_dimension_mismatch(tmp_path, capsys):
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
     write_matrix(pa, np.eye(2))
     write_matrix(pb, np.eye(3))
-    assert run_cli(["means", "--a", str(pa), "--b", str(pb)]) == 2
+    for command in ("means", "scan-p"):
+        assert run_cli([command, "--a", str(pa), "--b", str(pb)]) == 2
+        assert "dimension mismatch: (2, 2) vs (3, 3)" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -282,6 +292,9 @@ def test_usage_error_exit_code():
         (["--count", "0", "--t", "2"], "t values must lie in [0, 1]"),
         (["--props", ""], "at least one property is required"),
         (["--props", ","], "at least one property is required"),
+        (["--dims", "5:3"], "bad dimension range"),
+        (["--tol", "-1"], "tolerance must be >= 0"),
+        (["--cond", "-1"], "cond_exponent must be >= 0"),
     ],
 )
 def test_check_rejects_bad_campaign_config(tmp_path, capsys, args, message):

@@ -305,6 +305,8 @@ def test_batch_small_stacks_and_shape_errors():
     _assert_batch_matches([random_pd(3, 1.5, 1)])
     with pytest.raises(ValueError, match="stack of square matrices"):
         sym_eigen_batch([np.ones((2, 3))] * densela._BATCH_MIN)
+    with pytest.raises(ValueError, match=r"^matrix must be square with n >= 1, got shape \(2, 3\)$"):
+        densela.as_square_matrix(np.ones((2, 3)))
 
 
 # --- matrices far from unit scale --------------------------------------------
@@ -385,6 +387,8 @@ def test_apply_square_matches_multiply():
 def test_apply_undefined_at_eigenvalue():
     with pytest.raises(ValueError, match="undefined|non-finite"):
         sym_eigen(np.diag([1.0, -1.0])).apply(math.log)
+    with pytest.raises(ValueError, match="^spectral function returned non-finite value inf "):
+        sym_eigen(np.diag([2.0, 1.0])).apply(lambda x: math.inf)
 
 
 # --- pd_power / pd_log / sym_exp --------------------------------------------
@@ -638,7 +642,7 @@ def test_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x\n1\n", "2\n1 2\n", "2\n1 2\n3\n", "1\nnope\n"],
+    ["", "x\n1\n", "2\n1 2\n", "2\n1 2\n3\n", "1\nnope\n", "0\n"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

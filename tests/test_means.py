@@ -264,6 +264,7 @@ def test_multi_diagonal_matches_scalar_oracle(p):
     diags = [np.diag([1.0, 4.0]), np.diag([2.0, 0.5]), np.diag([3.0, 1.0])]
     w = (0.5, 0.25, 0.25)
     got = power_mean_multi(diags, w, p)
+    assert power_mean_multi(diags, WeightVector(w), p).tobytes() == got.tobytes()
     for i in range(2):
         entries = [d[i, i] for d in diags]
         if p == 0.0:

@@ -238,6 +238,8 @@ def test_instance_spec_validation():
         InstanceSpec(seed=1, dim=2, cond_exponent=1.0, t_values=(0.0, 2.0))
     with pytest.raises(ValueError):
         InstanceSpec(seed=1, dim=2, cond_exponent=1.0, p_grid=(1.0, 1.0))
+    with pytest.raises(ValueError, match="matrix count must be >= 1, got 0"):
+        InstanceSpec(seed=1, dim=2, cond_exponent=1.0, m=0)
 
 
 def test_materialize_is_deterministic():
@@ -308,6 +310,8 @@ def test_config_validation():
         CampaignConfig(master_seed=-1)
     with pytest.raises(ValueError):
         CampaignConfig(count=-2)
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        CampaignConfig(tolerance=-1.0)
     for m_values in ((), (0,), (2, -1)):
         for count in (0, 100):
             with pytest.raises(ValueError, match="matrix counts must be nonempty and >= 1"):

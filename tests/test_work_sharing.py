@@ -73,7 +73,7 @@ def test_power_mean_spectra_are_computed_once_per_instance(built):
     assert set(aggregates) == {("power_aggregate", t, p) for t in inner for p in spec.p_grid}
     assert set(aggregates.values()) == {1}
 
-    # A second instance has its own group and tables.
+    # A second instance has its own tables.
     evaluate_property("P1", materialize(spec))
     assert {n for k, n in built.items() if k[0] == "power_aggregate"} == {2}
 
@@ -186,10 +186,7 @@ def _groups(chunk, properties=suite.PROPERTY_IDS):
     by_dim = {}
     for data in chunk:
         by_dim.setdefault(data.dim, []).append(data)
-    groups = [suite._Group(members) for members in by_dim.values()]
-    for group in groups:
-        suite._prefill(group, properties)
-    return groups
+    return [suite._Group(members, properties) for members in by_dim.values()]
 
 
 @pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
@@ -314,11 +311,28 @@ def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
                 assert ("spectrum", name, *args) not in table._memo
 
 
-@pytest.mark.parametrize("cond_exponent", [1.5, 4.0, 8.0, 10.0])
-def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_exponent):
-    # Three chunks of mixed dimensions, prefilled, against a fresh lazy table per instance.
+# Non-default grids of the pinned report digests: (name, t values, p grid).
+_GRIDS = [
+    ("grids", (0.1, 0.9), (-3.0, -1.0, 0.0, 0.3, 2.0)),
+    ("ends", (0.0, 1.0), suite.DEFAULT_P_GRID),
+    ("empty", (), (1.0,)),
+    ("repeat", (0.5, 0.25, 0.5), suite.DEFAULT_P_GRID),
+]
+
+
+@pytest.mark.parametrize(
+    "cond_exponent, t_values, p_grid",
+    [pytest.param(c, suite.DEFAULT_T_VALUES, suite.DEFAULT_P_GRID, id=str(c))
+     for c in (1.5, 4.0, 8.0, 10.0)]
+    + [pytest.param(c, ts, ps, id=f"{name}-{c}") for name, ts, ps in _GRIDS for c in (1.5, 8.0)],
+)
+def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_exponent, t_values, p_grid):
+    # Three chunks of mixed dimensions, read from their groups' filled stacks,
+    # against point reads on a fresh instance checked on its own.  A read
+    # that the fill missed would show as a KeyError line.
     monkeypatch.setattr(suite, "_CHUNK", 4)
-    config = CampaignConfig(master_seed=1, count=10, dims=(3, 5), cond_exponent=cond_exponent)
+    config = CampaignConfig(master_seed=1, count=10, dims=(3, 5), cond_exponent=cond_exponent,
+                            t_values=t_values, p_grid=p_grid)
     lines = suite.report_jsonl_lines(suite.run_campaign(config))[:-1]
     fresh = []
     for i in range(config.count):
