@@ -83,6 +83,12 @@ class JacobiConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
+# The errors a property check reports as its failed result: a failed
+# validation, a floating-point limit, a Jacobi solve that did not converge.
+# Any other exception is a bug and propagates.
+_CHECK_ERRORS = (ValueError, ArithmeticError, JacobiConvergenceError)
+
+
 def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a float square matrix with finite entries, n >= 1."""
     a = np.asarray(x, dtype=float)
@@ -159,11 +165,11 @@ def _eval_on_spectrum(fn: Callable[[float], float], lam: np.ndarray) -> np.ndarr
             v = float(fn(float(x)))
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(
-                f"spectral function undefined at eigenvalue {x!r}: {exc}"
+                f"spectral function undefined at eigenvalue {float(x)!r}: {exc}"
             ) from exc
         if not math.isfinite(v):
             raise ValueError(
-                f"spectral function returned non-finite value {v!r} at eigenvalue {x!r}"
+                f"spectral function returned non-finite value {v!r} at eigenvalue {float(x)!r}"
             )
         vals[i] = v
     return vals
@@ -200,16 +206,6 @@ def _off_diagonal_mass(rows: list[list[float]]) -> float:
     return off2
 
 
-def _rotation(app: float, arr: float, apq: float) -> tuple[float, float, float]:
-    """tan, cos and sin of the Jacobi rotation that zeroes the (p, r) entry."""
-    theta = (arr - app) / (2.0 * apq)
-    t = 1.0 / (abs(theta) + math.hypot(1.0, theta))
-    if theta < 0.0:
-        t = -t
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    return t, c, t * c
-
-
 def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int, vectors: bool,
                  shift: int) -> tuple[list[float], list[list[float]] | None]:
     """Jacobi sweeps on the nested lists of S 2^-shift: the diagonal and, with ``vectors``, q."""
@@ -233,7 +229,13 @@ def _sweep_lists(a_in: np.ndarray, threshold: float, max_sweeps: int, vectors: b
             apq = ap[r]
             if apq == 0.0:
                 continue
-            t, c, sn = _rotation(ap[p], ar[r], apq)
+            # tan, cos and sin of the rotation that zeroes the (p, r) entry
+            theta = (ar[r] - ap[p]) / (2.0 * apq)
+            t = 1.0 / (abs(theta) + math.hypot(1.0, theta))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            sn = t * c
             ap[p] -= t * apq
             ar[r] += t * apq
             ap[r] = 0.0

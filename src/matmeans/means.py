@@ -31,14 +31,15 @@ never stores an error: a read that raised raises again when read again.
 instances of one order, so that their spectra are solved and read a whole
 grid at a time.  :func:`prefill` fills them once: it builds the named
 matrices of every member, solves them by order with ``sym_eigen_batch``
-and stores only their spectra, one array per matrix name, the members
-leading.  The stacks' readers gather a grid from those arrays (a point
-not filled is a ``KeyError``) and compute the mean spectra of every
+and stores only their whole spectra, one array per matrix name, the
+members leading.  The stacks' readers gather a grid from those arrays (a
+point not filled is a ``KeyError``) and compute the mean spectra of every
 member at once, with the bits of the point reads: each root is one call
 with a scalar exponent, and the endpoints t = 0 and t = 1 take the spectra
 of A and B.  Each reader also says which members' point reads could
 raise.  A stack never writes into its tables: such a member reads its
-own tables, as a fresh table would.
+own tables, as a fresh table would.  A stack of no members reads nothing
+and records every gather of its readers, which plans a fill.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .densela import (
+    _CHECK_ERRORS,
     EigenDecomposition,
     _gram,
     _gram_exponent,
@@ -481,7 +483,7 @@ def _root_spectra(lam: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
 
 def _any_point(bad: np.ndarray) -> np.ndarray:
     """Per member, whether any point of a (members, ...) mask is set."""
-    return bad.reshape(len(bad), -1).any(axis=1)
+    return bad.any(axis=tuple(range(1, bad.ndim)))
 
 
 class _TableStack:
@@ -502,13 +504,22 @@ class _TableStack:
         self.tables = tuple(tables)
         self.n = n
         self._memo: dict = {}
-        # name -> (column of each point, spectra (members, points, n),
-        #          which solved, which came from a factor block of order 2n)
+        # name -> (column of each point, spectra (members, points, order),
+        #          which solved, which came from a block matrix of order 2n)
         self._store: dict[str, tuple[dict, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.gathered: list[tuple[str, tuple]] = []  # what a stack of no members read
 
     def _gather(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Spectra of ``name`` at ``points`` (members, len(points), n), which
-        members solved all of them, and which spectra came from a block."""
+        """Spectra of ``name`` at ``points`` (members, len(points), order), which
+        members solved all of them, and which spectra came from a block.
+
+        A stack of no members plans a fill: it reads nothing, and records
+        ``(name, points)`` in ``gathered``.
+        """
+        if not self.tables:
+            self.gathered.append((name, points))
+            return (np.empty((0, len(points), self.n)), np.empty(0, dtype=bool),
+                    np.empty((0, len(points)), dtype=bool))
         cols, lam, solved, block = self._store[name]
         idx = [cols[pt] for pt in points]
         return lam[:, idx], solved[:, idx].all(axis=1), block[:, idx]
@@ -526,7 +537,7 @@ class _TableStack:
         for table in self.tables:
             try:
                 table.checked()
-            except Exception:
+            except _CHECK_ERRORS:
                 ok.append(False)
             else:
                 ok.append(True)
@@ -577,7 +588,7 @@ class PairStack(_TableStack):
         inner = _inner(ts)
         lam, ok, block = self._gather("sandwich_matrix", tuple((t, p) for t in inner for p in ps))
         shape = (len(lam), len(inner), len(ps))
-        lam = lam.reshape(shape + (self.n,))
+        lam = lam[..., :self.n].reshape(shape + (self.n,))
         block = block.reshape(shape)
         vals, bad = _root_spectra(lam, ps)
         for j, p in enumerate(ps):
@@ -627,11 +638,12 @@ def prefill(requests) -> None:
     point; one call fills a stack with every point its readers read.  The
     matrices of one member and name are built as one grid by
     ``_grid(name, points)``, all of them are stacked by order and solved by
-    ``sym_eigen_batch``, and the spectra are stored by stack and name, the
-    members leading, with the first n eigenvalues of a factor block of
-    order 2n.  A member whose grid build raises and a matrix whose solve
-    raises store nothing but the mark that they did not solve: such a
-    member reads its own table, where the point raises in its own place.
+    ``sym_eigen_batch``, and the whole spectra are stored by stack and name,
+    the members leading.  A name whose matrices differ in order, the
+    sandwich with its factor blocks, pads the shorter spectra with NaN.  A
+    member whose grid build raises and a matrix whose solve raises store
+    nothing but the mark that they did not solve: such a member reads its
+    own table, where the point raises in its own place.
     """
     new: dict[tuple, tuple] = {}  # (stack, name) -> (stack, name, column of each point)
     for stack, name, points in requests:
@@ -639,12 +651,13 @@ def prefill(requests) -> None:
         for pt in points:
             columns.setdefault(pt, len(columns))
     by_order: dict[int, list] = {}  # order -> [(matrices, stack, name, member, columns)]
-    for stack, name, columns in new.values():
+    width = {key: stack.n for key, (stack, _, _) in new.items()}  # of the longest spectrum
+    for key, (stack, name, columns) in new.items():
         points = list(columns)
         for i, table in enumerate(stack.tables):
             try:
                 grid = table._grid(name, points) if points else ()
-            except Exception:  # some point raises: its read raises it again
+            except _CHECK_ERRORS:  # some point raises: its read raises it again
                 continue
             if isinstance(grid, np.ndarray):
                 by_order.setdefault(grid.shape[-1], []).append((grid, stack, name, i, slice(None)))
@@ -655,8 +668,9 @@ def prefill(requests) -> None:
             for order, js in cols.items():
                 part = np.array([grid[j] for j in js])
                 by_order.setdefault(order, []).append((part, stack, name, i, js))
+                width[key] = max(width[key], order)
     fresh = {
-        key: (np.full((len(stack.tables), len(p), stack.n), math.nan),
+        key: (np.full((len(stack.tables), len(p), width[key]), math.nan),
               np.zeros((len(stack.tables), len(p)), dtype=bool),
               np.zeros((len(stack.tables), len(p)), dtype=bool))
         for key, (stack, _, p) in new.items()
@@ -671,7 +685,7 @@ def prefill(requests) -> None:
             rows = slice(start, start + len(part))
             start = rows.stop
             spectra, solved, block = fresh[id(stack), name]
-            spectra[i, cols] = lam[rows, :stack.n]
+            spectra[i, cols, :order] = lam[rows]
             solved[i, cols] = good[rows]
             block[i, cols] = order > stack.n
     for key, arrays in fresh.items():

@@ -13,18 +13,20 @@ kind; the tightest margin decides the verdict, and a NaN margin fails it.
 
 A campaign materializes instances in chunks of up to ``_CHUNK`` and groups
 each chunk by dimension (:class:`_Group`).  A group fills its stacks once,
-when it is built: every table spectrum the selected properties read
-(``_spectra_read``, one list of grid entries per property) is solved in
-one batch per matrix order and stored as one array per matrix, the
-members leading; a group's read outside that fill is an error.  An
-instance checked on its own has no group and reads point by point.
+when it is built: every table spectrum the selected properties read is
+solved in one batch per matrix order and stored as one array per matrix,
+the members leading; a group's read outside that fill is an error.  What
+the properties read is planned once per campaign (:func:`_plan`), by
+running their bodies on a group of no members, which records every read:
+a body declares a spectrum only by reading it.  An instance checked on
+its own has no group and reads point by point.
 
 Every catalogue entry is a body ``body(reads, tracker)`` that runs once
 for the whole group, on the first member's check, and records every
 member's margins in one tracker; each member's check takes its share.  A
 body reads whole grids, every member at once, and compares each link of
 its chain in one call over (member, t, p, k); what it computes member by
-member (P8's compounds, P11's blocks) it computes through ``reads.each``.
+member (P8's compounds) it computes through ``reads.each``.
 The tracker records those margins as one compare per point would, member
 by member: by t, then p, then link within the point, then k.  That order
 decides the witness among equal margins, such as the exact 0.0 and -0.0
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import time
@@ -55,11 +56,12 @@ import numpy as np
 
 from .compound import compound_matrix
 from .densela import (
+    _CHECK_ERRORS,
     _gram,
     _gram_exponent,
     _gram_roots,
     random_pd,
-    sym_eigen,
+    sym_eigen,  # noqa: F401  (bound here for perfbench/test_tracer.py)
     sym_exp,
     symmetrize,
 )
@@ -197,7 +199,7 @@ class InstanceData:
 
 
 class _InstanceTable(PairTable):
-    """The pair table of an instance, with the matrices that P9 and P12-P15 form.
+    """The pair table of an instance, with the matrices that P9 and P11-P15 form.
 
     Each of them is read through ``spectrum(name)``, so a campaign solves it
     in the batches of its chunk.
@@ -211,6 +213,18 @@ class _InstanceTable(PairTable):
     def multi_sum(self) -> np.ndarray:
         """A_1 + ... + A_m of the weighted matrices (P9)."""
         return symmetrize(sum(self._multi))
+
+    def block_geo(self) -> np.ndarray:
+        """[[A, G], [G, B]] of G = A # B (P11)."""
+        a, b = self._mats
+        g = self.geometric(0.5)
+        return symmetrize(np.block([[a, g], [g, b]]))
+
+    def block_root(self) -> np.ndarray:
+        """[[A, W], [W^T, B]] of the root product W = A^{1/2} B^{1/2} (P11)."""
+        a, b = self._mats
+        w = self.cross(0.5)
+        return symmetrize(np.block([[a, w], [w.T, b]]))
 
     def ab(self) -> np.ndarray:
         """The product AB (P12)."""
@@ -417,7 +431,7 @@ class MarginTracker:
         offers in chain order is recorded.
         """
         members = len(self.worst)
-        self.count += sum(lk.margins.size for lk in links) // members
+        self.count += sum(math.prod(lk.margins.shape[1:]) for lk in links)
         links = [lk for lk in links if lk.margins.size]
         if not links:
             return
@@ -637,11 +651,11 @@ class _GroupReads:
     and it runs again on its own.
     """
 
-    def __init__(self, group: "_Group"):
-        self.spec = group.spec
-        self.pairs = group.pairs
-        self.multis = group.multis
-        self.ok = np.ones(len(group.pairs.tables), dtype=bool)
+    def __init__(self, spec: InstanceSpec, pairs: PairStack, multis: MultiStack):
+        self.spec = spec
+        self.pairs = pairs
+        self.multis = multis
+        self.ok = np.ones(len(pairs.tables), dtype=bool)
 
     def _take(self, values_ok):
         values, ok = values_ok
@@ -669,12 +683,13 @@ class _GroupReads:
         return self.pairs.eig_spectra(i)
 
     def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
-        """fn(pair table) of each member, (members, *shape); a member where it raises is no longer ok."""
+        """fn(pair table) of each member, (members, *shape); a member where it raises
+        an error that fails a check is no longer ok."""
         out = np.full((len(self.ok), *shape), fill)
         for i in np.flatnonzero(self.ok).tolist():
             try:
                 out[i] = fn(self.pairs.tables[i])
-            except Exception:
+            except _CHECK_ERRORS:
                 self.ok[i] = False
         return out
 
@@ -723,13 +738,14 @@ class _Group:
 
     A campaign groups each chunk by dimension.  The group holds the members'
     tables as a :class:`PairStack` and a :class:`MultiStack`, and fills them
-    once, when it is built, with every spectrum that ``properties`` read.
-    A property runs once for the whole group, on the first member's check,
-    and each member's check then takes its share; a member whose reads could
-    raise is left out and runs alone.
+    once, when it is built, with the spectra ``requests`` name: the
+    campaign's :func:`_plan`, whose ``(stack, name, points)`` name the
+    group's ``pairs`` or ``multis``.  A property runs once for the whole
+    group, on the first member's check, and each member's check then takes
+    its share; a member whose reads could raise is left out and runs alone.
     """
 
-    def __init__(self, members, properties):
+    def __init__(self, members, requests):
         self.spec = members[0].spec
         self.pairs = PairStack([d.means for d in members], self.spec.dim)
         self.multis = MultiStack([d.multi_means for d in members], self.spec.dim)
@@ -737,10 +753,7 @@ class _Group:
         self._index_of = {id(d.means): i for i, d in enumerate(members)}
         for d in members:  # InstanceData is frozen
             object.__setattr__(d, "group", self)
-        reads = _spectra_read(self.spec)
-        stacks = {"pairs": self.pairs, "multis": self.multis}
-        prefill([(stacks[stack], name, tuple(itertools.product(*axes)))
-                 for pid in properties for stack, name, axes in reads[pid]])
+        prefill([(getattr(self, stack), name, points) for stack, name, points in requests])
 
     def share(self, property_id: str, data: InstanceData) -> _Record | None:
         """What the property records for ``data``, or None if ``data`` must run alone.
@@ -749,7 +762,7 @@ class _Group:
         """
         shares = self._shares.get(property_id)
         if shares is None:
-            reads = _GroupReads(self)
+            reads = _GroupReads(self.spec, self.pairs, self.multis)
             tracker = MarginTracker(len(self.pairs.tables))
             _CATALOGUE[property_id](reads, tracker)
             shares = self._shares[property_id] = [
@@ -910,24 +923,13 @@ def _p10(r, tr) -> None:
     tr.compare("KyFan", s_le, s, p=np.array(pos))
 
 
-def _block_minima(m: PairTable) -> list:
-    """(margin, least eigenvalue) of the blocks [[A, G], [G, B]] and [[A, W], [W^T, B]]
-    of G = A # B and the root product W."""
-    a, b = m._mats
-    g = m.geometric(0.5)
-    w = m.cross(0.5)
-    out = []
-    for block in (np.block([[a, g], [g, b]]), np.block([[a, w], [w.T, b]])):
-        lam = sym_eigen(symmetrize(block), vectors=False).lam
-        out.append((float(lam[-1]) / (1.0 + float(np.max(np.abs(lam)))), float(lam[-1])))
-    return out
-
-
 def _p11(r, tr) -> None:
     """Block positivity certificates; geometric mean vs the root product."""
-    minima = r.each(_block_minima, shape=(2, 2))
-    for j, label in enumerate(("block-geo", "block-root")):
-        tr.add(minima[:, j, 0], norm_id=f"{label}:minlam", lhs=minima[:, j, 1], rhs=0.0)
+    for name, label in (("block_geo", "block-geo"), ("block_root", "block-root")):
+        lam = r.spectrum(name)
+        low = lam[:, -1]
+        tr.add(low / (1.0 + np.max(np.abs(lam), axis=-1)), norm_id=f"{label}:minlam",
+               lhs=low, rhs=0.0)
     (s_geo, s_roots), _ = r.grid(("geometric", "cross_sv"), ts=(0.5,))
     tr.compare("KyFan", s_geo[:, 0], s_roots[:, 0])
 
@@ -1004,47 +1006,20 @@ _CATALOGUE: dict[str, Callable[[_GroupReads | _OwnReads, MarginTracker], None]] 
 }
 
 
-def _spectra_read(spec: InstanceSpec) -> dict[str, list[tuple]]:
-    """The table spectra each property reads, as ``means.prefill`` requests of a group.
+def _plan(spec: InstanceSpec, properties) -> list[tuple[str, str, tuple]]:
+    """The fill that ``properties`` read in a group of ``spec``'s grids, as
+    ``means.prefill`` requests ``(stack, name, points)``, where ``stack`` names
+    the group's ``pairs`` or ``multis``.
 
-    Each entry ``(stack, name, axes)`` names the reads
-    ``spectrum(name, *args)`` of the group's ``pairs`` or ``multis`` over the
-    grid of ``axes``.  A group solves them in batches when it is built, and
-    its reads take nothing else: any other spectrum is a ``KeyError``.
+    Each body runs once on a group of no members, whose stacks record every
+    gather, so a spectrum that a body reads is declared by that read alone.
+    The plan holds for every dimension, since reads name only grid points.
     """
-    ts, ps = spec.t_values, spec.p_grid
-    inner = _inner(ts)  # the means are A or B at t = 0, 1
-    pos = _positive_grid(spec)
-    geo = ("pairs", "geometric", (ts,))
-    log_euclidean = ("pairs", "power_aggregate", (inner, (0.0,)))
-    power = ("pairs", "power_aggregate", (inner, pos))
-    sandwich = ("pairs", "sandwich_matrix", (inner, pos))
-    return {
-        "P1": [("pairs", "power_aggregate", (inner, ps))],
-        "P2": [geo, log_euclidean, power],
-        "P3": [geo, log_euclidean, sandwich, power],
-        "P4": [geo, log_euclidean, ("pairs", "sandwich_matrix", (inner, (1.0,))),
-               ("pairs", "cross_sym", (ts,)), ("pairs", "cross_gram", (ts,)),
-               ("pairs", "arithmetic", (inner,))],
-        "P5": [geo, log_euclidean, sandwich, ("pairs", "product", (inner, pos)), power],
-        "P6": [],
-        "P7": [("pairs", "geometric", ((0.5,),)), ("pairs", "sandwich_matrix", ((0.5,), (1.0,)))],
-        "P8": [],
-        "P9": [("multis", "power_aggregate", (ps,)),
-               ("multis", "power_sum", ([p for p in ps if 0.0 < p <= 1.0] + list(BK_EXPONENTS),)),
-               ("pairs", "multi_sum", ())],
-        "P10": [("multis", "power_aggregate", ((0.0, *pos),))],
-        "P11": [("pairs", "geometric", ((0.5,),)), ("pairs", "cross_gram", ((0.5,),))],
-        "P12": [("pairs", "ab_gram", ()), ("pairs", "pair_sum", ()),
-                ("pairs", "cross_gram", ((0.5,),)),
-                ("pairs", "power_aggregate", ((0.5,), (0.5, *(p for p in ps if p >= 0.5))))],
-        "P13": [geo, ("pairs", "product", (ts, (1.0,))), ("pairs", "bab_half", ()),
-                ("pairs", "geometric", ((0.5,),)), ("pairs", "bab", ()),
-                ("pairs", "bab_power", (ts,))],
-        "P14": [("pairs", "x_congruence", ()), ("pairs", "x_jordan", ())],
-        "P15": [("pairs", "chord_gap", (ts,)), ("pairs", "log_sum", ()),
-                ("pairs", "exp_product", ())],
-    }
+    reads = _GroupReads(spec, PairStack((), spec.dim), MultiStack((), spec.dim))
+    for pid in properties:
+        _CATALOGUE[pid](reads, MarginTracker(0))
+    return [(stack, name, points) for stack in ("pairs", "multis")
+            for name, points in getattr(reads, stack).gathered]
 
 
 def _classify(worst: float, tol: float) -> tuple[str, bool]:
@@ -1065,7 +1040,9 @@ def evaluate_property(
     on its own tables, point by point, if it has no group or was left out.
     Both runs silence numpy's floating-point warnings: the group computes
     values for members that it then leaves out, and a margin that is NaN
-    fails the check whatever warned.
+    fails the check whatever warned.  A check that raises a ``ValueError``,
+    an ``ArithmeticError`` or a ``JacobiConvergenceError`` fails with its
+    text; any other exception is a bug, and propagates.
     """
     body = _CATALOGUE.get(property_id)
     if body is None:
@@ -1078,7 +1055,7 @@ def evaluate_property(
                 alone = MarginTracker()
                 body(_OwnReads(data), alone)
                 rec = alone.tracker(0)
-    except Exception as exc:  # a crashed check is a failed check
+    except _CHECK_ERRORS as exc:  # a failed check; any other exception is a bug
         return PropertyResult(
             property_id=property_id,
             seed=data.spec.seed,
@@ -1275,6 +1252,7 @@ def run_campaign(
     """
     start = time.perf_counter()
     results: list[PropertyResult] = []
+    plan = _plan(build_instance(config, 0), config.properties)  # every instance has the same grids
     for first in range(0, config.count, _CHUNK):
         chunk = [
             materialize(build_instance(config, i))
@@ -1284,7 +1262,7 @@ def run_campaign(
         for data in chunk:
             by_dim.setdefault(data.dim, []).append(data)
         for members in by_dim.values():
-            _Group(members, config.properties)  # sets each member's group
+            _Group(members, plan)  # sets each member's group
         chunk.reverse()
         while chunk:  # each instance is dropped once its properties ran
             data = chunk.pop()

@@ -461,7 +461,7 @@ _HUGE = np.diag([1e90, 1e89, 1e88])  # positive definite, but its 4th power over
          "matrix is not positive definite: eigenvalue range [-1.000000e+00, 2.000000e+00]"),
         (_NOT_PD, [math.inf, 1.0], "exponent must be finite, got inf"),
         (_HUGE, [1.0, 4.0, math.nan],
-         "spectral function undefined at eigenvalue np.float64(1e+90): "
+         "spectral function undefined at eigenvalue 1e+90: "
          "(34, 'Numerical result out of range')"),
         (_HUGE, [1.0, -math.inf], "exponent must be finite, got -inf"),
     ],

@@ -113,6 +113,37 @@ def test_crashing_check_is_reported_as_failure():
     assert res.worst_margin == -math.inf
 
 
+def _raising_body(error):
+    """A body that plans no read and raises ``error`` whenever it checks members."""
+
+    def body(reads, tr):
+        if not (isinstance(reads, suite._GroupReads) and len(reads.ok) == 0):
+            raise error("raised by the body")
+
+    return body
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_a_bug_in_a_body_propagates(monkeypatch, error):
+    # Only a failed validation, a floating-point limit or a Jacobi solve that
+    # did not converge is a failed check; any other exception is a bug.
+    monkeypatch.setitem(suite._CATALOGUE, "P2", _raising_body(error))
+    with pytest.raises(error):
+        check_property("P2", InstanceSpec(seed=1, dim=2, cond_exponent=1.0))
+    with pytest.raises(error):
+        run_campaign(CampaignConfig(count=2, properties=("P1", "P2")))
+
+
+def test_a_body_that_raises_a_value_error_fails_its_check(monkeypatch):
+    monkeypatch.setitem(suite._CATALOGUE, "P2", _raising_body(ValueError))
+    row = ("fail", False, -math.inf, "error", "ValueError: raised by the body")
+    res = check_property("P2", InstanceSpec(seed=1, dim=2, cond_exponent=1.0))
+    assert (res.status, res.marginal, res.worst_margin, res.witness.norm_id, res.error) == row
+    rep = run_campaign(CampaignConfig(count=3, dims=(2, 3), properties=("P2",)))
+    assert [(r.status, r.marginal, r.worst_margin, r.witness.norm_id, r.error)
+            for r in rep.results] == [row] * 3
+
+
 class _Observed(MarginTracker):
     """A one-member tracker that keeps every link it records."""
 

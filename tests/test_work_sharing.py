@@ -1,5 +1,6 @@
 """The campaign shares work through the per-instance table of means."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -183,17 +184,19 @@ def _chunk(cond_exponent, count=6, master_seed=11):
 
 
 def _groups(chunk, properties=suite.PROPERTY_IDS):
+    plan = suite._plan(chunk[0].spec, properties)
     by_dim = {}
     for data in chunk:
         by_dim.setdefault(data.dim, []).append(data)
-    return [suite._Group(members, properties) for members in by_dim.values()]
+    return [suite._Group(members, plan) for members in by_dim.values()]
 
 
 @pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
 def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_exponent):
-    # The prefill map names every table spectrum a property reads: once the
-    # groups are prefilled, the properties solve no spectrum of order n, in a
-    # batch or on its own, whether a member runs with its group or alone.
+    # The plan names every table spectrum a property reads: once the groups
+    # are prefilled, the properties solve no spectrum of order n, nor a P11
+    # block of order 2n, in a batch or on its own, whether a member runs with
+    # its group or alone.
     chunk = _chunk(cond_exponent)
     assert len({d.dim for d in chunk}) > 1
     _groups(chunk)
@@ -214,6 +217,7 @@ def test_prefilled_chunk_leaves_no_spectrum_solve_of_order_n(monkeypatch, cond_e
         for pid in suite.PROPERTY_IDS:
             evaluate_property(pid, data)
         assert (data.dim, False) not in calls
+        assert (2 * data.dim, False) not in calls
 
 
 def test_default_chunk_runs_no_member_alone(monkeypatch):
@@ -227,11 +231,15 @@ def test_default_chunk_runs_no_member_alone(monkeypatch):
 
 def test_default_chunk_runs_each_body_once_per_group(monkeypatch):
     # Every property, P6, P8 and P11 included, runs once for each dimension
-    # group of a default chunk, on its first member's call.
-    runs = Counter()
+    # group of a default chunk, on its first member's call, and once per
+    # campaign on a group of no members, which plans the groups' fill.
+    runs, plans = Counter(), Counter()
     for pid, body in list(suite._CATALOGUE.items()):
         def counting(reads, tr, pid=pid, body=body):
-            runs[(pid, reads.spec.dim)] += 1
+            if len(reads.ok):
+                runs[(pid, reads.spec.dim)] += 1
+            else:
+                plans[pid] += 1
             body(reads, tr)
 
         monkeypatch.setitem(suite._CATALOGUE, pid, counting)
@@ -240,6 +248,36 @@ def test_default_chunk_runs_each_body_once_per_group(monkeypatch):
     dims = {build_instance(config, i).dim for i in range(config.count)}
     assert len(dims) > 1
     assert runs == {(pid, n): 1 for pid in suite.PROPERTY_IDS for n in dims}
+    assert plans == dict.fromkeys(suite.PROPERTY_IDS, 1)
+
+
+def test_a_new_read_is_filled_without_a_second_declaration(monkeypatch):
+    # A body that reads one more grid and one more table spectrum is planned
+    # with them: the campaign gives the lines of a fresh check per instance.
+    p2 = suite._CATALOGUE["P2"]
+
+    def reading_more(reads, tr):
+        reads.grid(("arithmetic",))
+        reads.spectrum("bab")
+        p2(reads, tr)
+
+    monkeypatch.setitem(suite._CATALOGUE, "P2", reading_more)
+    spec = build_instance(CampaignConfig(), 0)
+    plan = suite._plan(spec, ("P2",))
+    assert ("pairs", "bab", ((),)) in plan
+    assert any(name == "arithmetic" for _, name, _ in plan)
+    # Reads name grid points only, so one plan serves every dimension.
+    assert plan == suite._plan(dataclasses.replace(spec, dim=spec.dim + 3), ("P2",))
+    monkeypatch.setattr(suite, "_CHUNK", 4)
+    config = CampaignConfig(master_seed=1, count=10, dims=(3, 5), properties=("P1", "P2"))
+    lines = suite.report_jsonl_lines(suite.run_campaign(config))[:-1]
+    fresh = [
+        json.dumps(suite.result_to_json_obj(suite.check_property(pid, materialize(
+            build_instance(config, i)), config.tolerance)), separators=(",", ":"), allow_nan=False)
+        for i in range(config.count) for pid in config.properties
+    ]
+    assert lines == fresh
+    assert not any("KeyError" in line for line in lines)
 
 
 @pytest.mark.parametrize(
