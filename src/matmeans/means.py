@@ -34,12 +34,13 @@ matrices of every member, solves them by order with ``sym_eigen_batch``
 and stores only their whole spectra, one array per matrix name, the
 members leading.  The stacks' readers gather a grid from those arrays (a
 point not filled is a ``KeyError``) and compute the mean spectra of every
-member at once, with the bits of the point reads: each root is one call
-with a scalar exponent, and the endpoints t = 0 and t = 1 take the spectra
-of A and B.  Each reader also says which members' point reads could
-raise.  A stack never writes into its tables: such a member reads its
-own tables, as a fresh table would.  A stack of no members reads nothing
-and records every gather of its readers, which plans a fill.
+member at once, on every call, with the bits of the point reads: each
+root is one call with a scalar exponent, and the endpoints t = 0 and
+t = 1 take the spectra of A and B.  Each reader also says which members'
+point reads could raise.  A stack never writes into its tables: such a
+member reads its own tables, as a fresh table would.  A stack of no
+members reads nothing and records every gather of its readers, which
+plans a fill.
 """
 
 from __future__ import annotations
@@ -465,8 +466,10 @@ class MultiTable(_Factored):
 def _root_spectra(lam: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
     """``_root_spectrum`` of every spectrum in ``lam`` (..., len(ps), n) at its p.
 
-    Returns the roots and where ``_root_spectrum`` raises instead.  Each p
-    is one call with a scalar exponent, which gives the bits of the point form.
+    Returns the roots and where ``_root_spectrum`` raises instead, whose
+    roots are meaningless and may warn: the checks run it with numpy's
+    floating-point warnings off.  Each p is one call with a scalar exponent,
+    which gives the bits of the point form.
     """
     out = np.empty(lam.shape)
     bad = np.zeros(lam.shape[:-1], dtype=bool)
@@ -476,8 +479,7 @@ def _root_spectra(lam: np.ndarray, ps) -> tuple[np.ndarray, np.ndarray]:
             out[..., j, :] = np.exp(x)
             continue
         bad[..., j] = x[..., -1] <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):  # only where the point form raises
-            out[..., j, :] = np.sort(x ** (1.0 / p), axis=-1)[..., ::-1]
+        out[..., j, :] = np.sort(x ** (1.0 / p), axis=-1)[..., ::-1]
     return out, bad
 
 
@@ -492,8 +494,9 @@ class _TableStack:
     Member i is ``tables[i]``.  :func:`prefill` fills the stack once with the
     spectra of table matrices of every member, one array per matrix name, the
     members leading.  The readers gather every grid from it and compute the
-    spectra of every member at once, with the bits of the tables' point reads,
-    each memoised as a table entry is.  A reader returns ``(values, ok)``:
+    spectra of every member at once, with the bits of the tables' point reads;
+    the fill did every solve, so a reader stores nothing and computes its
+    result again on each call.  A reader returns ``(values, ok)``:
     ``ok[i]`` is False where a point read of member i could raise, because a
     point did not solve, a matrix fails validation or a spectrum fails a
     positivity check; its values are then meaningless, and its reads must be
@@ -503,7 +506,6 @@ class _TableStack:
     def __init__(self, tables: Sequence, n: int):
         self.tables = tuple(tables)
         self.n = n
-        self._memo: dict = {}
         # name -> (column of each point, spectra (members, points, order),
         #          which solved, which came from a block matrix of order 2n)
         self._store: dict[str, tuple[dict, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -524,11 +526,9 @@ class _TableStack:
         idx = [cols[pt] for pt in points]
         return lam[:, idx], solved[:, idx].all(axis=1), block[:, idx]
 
-    @_entry
     def spectra(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``table.spectrum(name, *point)`` of every member at each of ``points``."""
-        lam, ok, _ = self._gather(name, points)
-        return lam, ok
+        return self._gather(name, points)[:2]
 
     @functools.cached_property
     def valid(self) -> np.ndarray:
@@ -551,7 +551,6 @@ class PairStack(_TableStack):
     takes the spectrum of A or B, as the point reads do.
     """
 
-    @_entry
     def eig_spectra(self, i: int) -> np.ndarray:
         """``eig(i).lam`` of every member that passes validation, NaN for the others."""
         out = np.full((len(self.tables), self.n), math.nan)
@@ -574,7 +573,6 @@ class PairStack(_TableStack):
                 j += 1
         return out
 
-    @_entry
     def power_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``power_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``."""
         inner = _inner(ts)
@@ -582,7 +580,6 @@ class PairStack(_TableStack):
         vals, bad = _root_spectra(lam.reshape(len(lam), len(inner), len(ps), self.n), ps)
         return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
 
-    @_entry
     def sandwich_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``, every p > 0."""
         inner = _inner(ts)
@@ -598,13 +595,11 @@ class PairStack(_TableStack):
         bad &= ~block
         return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
 
-    @_entry
     def arithmetic_spectra(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``arithmetic_spectrum(t)`` at each of ``ts``."""
         lam, ok = self.spectra("arithmetic", tuple((t,) for t in _inner(ts)))
         return self.with_ends(ts, lam), ok & self.valid
 
-    @_entry
     def cross_singular_values(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``cross_singular_values(t)`` at each of ``ts``."""
         lam, ok = self.spectra("cross_gram", tuple((t,) for t in ts))
@@ -617,7 +612,6 @@ class PairStack(_TableStack):
 class MultiStack(_TableStack):
     """Multi tables of one order, read a grid at a time (see :class:`_TableStack`)."""
 
-    @_entry
     def power_mean_spectra(self, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``power_mean_spectrum(p)`` at each of ``ps``."""
         lam, ok = self.spectra("power_aggregate", tuple((p,) for p in ps))

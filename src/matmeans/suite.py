@@ -22,11 +22,12 @@ a body declares a spectrum only by reading it.  An instance checked on
 its own has no group and reads point by point.
 
 Every catalogue entry is a body ``body(reads, tracker)`` that runs once
-for the whole group, on the first member's check, and records every
-member's margins in one tracker; each member's check takes its share.  A
-body reads whole grids, every member at once, and compares each link of
-its chain in one call over (member, t, p, k); what it computes member by
-member (P8's compounds) it computes through ``reads.each``.
+for the whole group, on the first member's check, with the group itself
+as its reads, and records every member's margins in one tracker; each
+member's check takes its share.  A body reads whole grids, every member
+at once, and compares each link of its chain in one call over (member,
+t, p, k); what it computes member by member (P8's compounds) it computes
+through ``reads.each``.
 The tracker records those margins as one compare per point would, member
 by member: by t, then p, then link within the point, then k.  That order
 decides the witness among equal margins, such as the exact 0.0 and -0.0
@@ -34,7 +35,10 @@ at the endpoints t = 0 and t = 1.  A member whose reads could raise is
 left out of its group's run and runs the body alone, reading its own
 tables, which the group never writes to, point by point in the order of
 the property's reads, so the first read that raises raises its own
-error.  Both runs silence numpy's floating-point warnings.
+error.  The group's fill and both runs ignore every numpy floating-point
+error (``np.errstate(all="ignore")``): an overflow, a division by zero or
+an invalid value shows as an inf or NaN spectrum, an error row or a NaN
+margin, which fails its check, never as a warning that stops a campaign.
 
 ``evaluate_property`` is still called once per (instance, property), and
 the group runs inside the first of those calls: the per-layer tracer of
@@ -154,6 +158,8 @@ class InstanceSpec:
     m: int = 2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"instance seed must be >= 0, got {self.seed}")
         if self.dim < 2:
             raise ValueError(f"instance dimension must be >= 2, got {self.dim}")
         if self.m < 1:
@@ -548,9 +554,9 @@ def paper_counterexample() -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reads.  A property body reads its spectra through a reader: the group's
-# (_GroupReads), every member at once, or one instance's own (_OwnReads),
-# point by point.  Either returns arrays whose leading axis is the member.
+# Reads.  A property body reads its spectra through a reader: its group
+# (_Group), every member at once, or one instance's own (_OwnReads), point
+# by point.  Either returns arrays whose leading axis is the member.
 
 
 def _dual(m: PairTable, t: float, p: float) -> np.ndarray:
@@ -643,57 +649,6 @@ def _axes(spec: InstanceSpec, ts, ps) -> tuple[tuple, tuple]:
     return (spec.t_values if ts is None else ts), (_positive_grid(spec) if ps is None else ps)
 
 
-class _GroupReads:
-    """The reads of a property body for every member of a group at once.
-
-    Each read has the bits of the point reads.  ``ok[i]`` turns False once
-    a read of member i could raise; member i's values are then meaningless,
-    and it runs again on its own.
-    """
-
-    def __init__(self, spec: InstanceSpec, pairs: PairStack, multis: MultiStack):
-        self.spec = spec
-        self.pairs = pairs
-        self.multis = multis
-        self.ok = np.ones(len(pairs.tables), dtype=bool)
-
-    def _take(self, values_ok):
-        values, ok = values_ok
-        self.ok &= ok
-        return values
-
-    def grid(self, at_t=(), at_tp=(), ts=None, ps=None) -> tuple[list, list]:
-        """The spectra of each entry of ``at_t`` over t, (members, |t|, n), and of
-        ``at_tp`` over (t, p), (members, |t|, |p|, n)."""
-        ts, ps = _axes(self.spec, ts, ps)
-        return ([self._take(_AT_T[e][1](self.pairs, ts)) for e in at_t],
-                [self._take(_AT_TP[e][1](self.pairs, ts, ps)) for e in at_tp])
-
-    def multi(self, name: str, ps: tuple) -> np.ndarray:
-        """The multi-table spectra ``name`` over ``ps``, (members, |p|, n)."""
-        return self._take(_MULTI[name][1](self.multis, ps))
-
-    def spectrum(self, name: str) -> np.ndarray:
-        """``spectrum(name)`` of the pair table, (members, n)."""
-        return self._take(self.pairs.spectra(name, ((),)))[:, 0]
-
-    def eig(self, i: int) -> np.ndarray:
-        """The spectrum of matrix i (A or B), (members, n)."""
-        self.ok &= self.pairs.valid
-        return self.pairs.eig_spectra(i)
-
-    def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
-        """fn(pair table) of each member, (members, *shape); a member where it raises
-        an error that fails a check is no longer ok."""
-        out = np.full((len(self.ok), *shape), fill)
-        for i in np.flatnonzero(self.ok).tolist():
-            try:
-                out[i] = fn(self.pairs.tables[i])
-            except _CHECK_ERRORS:
-                self.ok[i] = False
-        return out
-
-
 class _OwnReads:
     """The reads of a property body for one instance on its own, point by point.
 
@@ -734,26 +689,31 @@ class _OwnReads:
 
 
 class _Group:
-    """Instances of one dimension whose ``properties`` are evaluated together.
+    """Instances of one dimension whose properties are evaluated together, and
+    the reads of a property body for all of them at once.
 
     A campaign groups each chunk by dimension.  The group holds the members'
     tables as a :class:`PairStack` and a :class:`MultiStack`, and fills them
     once, when it is built, with the spectra ``requests`` name: the
     campaign's :func:`_plan`, whose ``(stack, name, points)`` name the
     group's ``pairs`` or ``multis``.  A property runs once for the whole
-    group, on the first member's check, and each member's check then takes
-    its share; a member whose reads could raise is left out and runs alone.
+    group, on the first member's check, with the group as its reads; each
+    member's check then takes its share.  Each read has the bits of the
+    point reads.  ``ok[i]`` turns False once a read of member i could raise;
+    member i's values are then meaningless, and it runs again on its own.
+    A group of no members reads nothing, and its stacks record every read.
     """
 
-    def __init__(self, members, requests):
-        self.spec = members[0].spec
-        self.pairs = PairStack([d.means for d in members], self.spec.dim)
-        self.multis = MultiStack([d.multi_means for d in members], self.spec.dim)
+    def __init__(self, spec: InstanceSpec, members, requests):
+        self.spec = spec
+        self.pairs = PairStack([d.means for d in members], spec.dim)
+        self.multis = MultiStack([d.multi_means for d in members], spec.dim)
+        self.ok = np.ones(len(members), dtype=bool)
         self._shares: dict = {}
-        self._index_of = {id(d.means): i for i, d in enumerate(members)}
         for d in members:  # InstanceData is frozen
             object.__setattr__(d, "group", self)
-        prefill([(getattr(self, stack), name, points) for stack, name, points in requests])
+        with np.errstate(all="ignore"):  # as evaluate_property's runs
+            prefill([(getattr(self, stack), name, points) for stack, name, points in requests])
 
     def share(self, property_id: str, data: InstanceData) -> _Record | None:
         """What the property records for ``data``, or None if ``data`` must run alone.
@@ -762,13 +722,49 @@ class _Group:
         """
         shares = self._shares.get(property_id)
         if shares is None:
-            reads = _GroupReads(self.spec, self.pairs, self.multis)
-            tracker = MarginTracker(len(self.pairs.tables))
-            _CATALOGUE[property_id](reads, tracker)
+            self.ok[:] = True
+            tracker = MarginTracker(len(self.ok))
+            _CATALOGUE[property_id](self, tracker)
             shares = self._shares[property_id] = [
-                tracker.tracker(i) if ok else None for i, ok in enumerate(reads.ok.tolist())
+                tracker.tracker(i) if ok else None for i, ok in enumerate(self.ok.tolist())
             ]
-        return shares[self._index_of[id(data.means)]]
+        return shares[self.pairs.tables.index(data.means)]  # tables compare by identity
+
+    def _take(self, values_ok):
+        values, ok = values_ok
+        self.ok &= ok
+        return values
+
+    def grid(self, at_t=(), at_tp=(), ts=None, ps=None) -> tuple[list, list]:
+        """The spectra of each entry of ``at_t`` over t, (members, |t|, n), and of
+        ``at_tp`` over (t, p), (members, |t|, |p|, n)."""
+        ts, ps = _axes(self.spec, ts, ps)
+        return ([self._take(_AT_T[e][1](self.pairs, ts)) for e in at_t],
+                [self._take(_AT_TP[e][1](self.pairs, ts, ps)) for e in at_tp])
+
+    def multi(self, name: str, ps: tuple) -> np.ndarray:
+        """The multi-table spectra ``name`` over ``ps``, (members, |p|, n)."""
+        return self._take(_MULTI[name][1](self.multis, ps))
+
+    def spectrum(self, name: str) -> np.ndarray:
+        """``spectrum(name)`` of the pair table, (members, n)."""
+        return self._take(self.pairs.spectra(name, ((),)))[:, 0]
+
+    def eig(self, i: int) -> np.ndarray:
+        """The spectrum of matrix i (A or B), (members, n)."""
+        self.ok &= self.pairs.valid
+        return self.pairs.eig_spectra(i)
+
+    def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
+        """fn(pair table) of each member, (members, *shape); a member where it raises
+        an error that fails a check is no longer ok."""
+        out = np.full((len(self.ok), *shape), fill)
+        for i in np.flatnonzero(self.ok).tolist():
+            try:
+                out[i] = fn(self.pairs.tables[i])
+            except _CHECK_ERRORS:
+                self.ok[i] = False
+        return out
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -998,8 +994,9 @@ def _p15(r, tr) -> None:
     tr.compare("KyFan", s_expsum, r.spectrum("exp_product"))
 
 
-# Each property is a body(reads, tracker): run over a group by _Group.share, or on _OwnReads.
-_CATALOGUE: dict[str, Callable[[_GroupReads | _OwnReads, MarginTracker], None]] = {
+# Each property is a body(reads, tracker): run by _Group.share with the group as its
+# reads, or on one instance's _OwnReads.
+_CATALOGUE: dict[str, Callable[[_Group | _OwnReads, MarginTracker], None]] = {
     "P1": _p1, "P2": _p2, "P3": _p3, "P4": _p4, "P5": _p5,
     "P6": _p6, "P7": _p7, "P8": _p8, "P9": _p9, "P10": _p10,
     "P11": _p11, "P12": _p12, "P13": _p13, "P14": _p14, "P15": _p15,
@@ -1012,14 +1009,15 @@ def _plan(spec: InstanceSpec, properties) -> list[tuple[str, str, tuple]]:
     the group's ``pairs`` or ``multis``.
 
     Each body runs once on a group of no members, whose stacks record every
-    gather, so a spectrum that a body reads is declared by that read alone.
+    gather, so a spectrum that a body reads is declared by that read alone;
+    a gather made again is planned once.
     The plan holds for every dimension, since reads name only grid points.
     """
-    reads = _GroupReads(spec, PairStack((), spec.dim), MultiStack((), spec.dim))
+    group = _Group(spec, (), ())
     for pid in properties:
-        _CATALOGUE[pid](reads, MarginTracker(0))
-    return [(stack, name, points) for stack in ("pairs", "multis")
-            for name, points in getattr(reads, stack).gathered]
+        _CATALOGUE[pid](group, MarginTracker(0))
+    return list(dict.fromkeys((stack, name, points) for stack in ("pairs", "multis")
+                              for name, points in getattr(group, stack).gathered))
 
 
 def _classify(worst: float, tol: float) -> tuple[str, bool]:
@@ -1038,18 +1036,21 @@ def evaluate_property(
     In a campaign, the first call for a member of ``data.group`` runs the
     property for the whole group; ``data`` takes its share, or runs alone
     on its own tables, point by point, if it has no group or was left out.
-    Both runs silence numpy's floating-point warnings: the group computes
-    values for members that it then leaves out, and a margin that is NaN
-    fails the check whatever warned.  A check that raises a ``ValueError``,
-    an ``ArithmeticError`` or a ``JacobiConvergenceError`` fails with its
-    text; any other exception is a bug, and propagates.
+    Both runs, like the group's fill, ignore every numpy floating-point
+    error: the group computes values for members that it then leaves out,
+    and a margin that is NaN fails the check whatever overflowed.  A check
+    that raises a ``ValueError``, an ``ArithmeticError`` or a
+    ``JacobiConvergenceError`` fails with its text; any other exception is
+    a bug, and propagates.  ``tolerance`` must be finite and >= 0, as in
+    :class:`CampaignConfig`.
     """
     body = _CATALOGUE.get(property_id)
     if body is None:
         raise ValueError(f"unknown property id {property_id!r}")
+    _require_nonnegative("tolerance", tolerance)
     tol = _PROPERTY_TOL.get(property_id, tolerance)
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             rec = None if data.group is None else data.group.share(property_id, data)
             if rec is None:  # no group, or left out of its run: read point by point
                 alone = MarginTracker()
@@ -1262,7 +1263,7 @@ def run_campaign(
         for data in chunk:
             by_dim.setdefault(data.dim, []).append(data)
         for members in by_dim.values():
-            _Group(members, plan)  # sets each member's group
+            _Group(members[0].spec, members, plan)  # sets each member's group
         chunk.reverse()
         while chunk:  # each instance is dropped once its properties ran
             data = chunk.pop()

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +306,18 @@ def test_check_rejects_bad_campaign_config(tmp_path, capsys, args, message):
     assert run_cli(["check", "--count", "1", "--out", str(out), *args]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_check_past_the_floating_point_range_reports_with_warnings_as_errors(tmp_path):
+    # A p grid whose powers overflow fails checks and still writes its
+    # report, even when the interpreter turns each RuntimeWarning into an error.
+    out = tmp_path / "r.jsonl"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "matmeans.cli", "check",
+         "--p-grid", "-1e-300,1e-300", "--count", "4", "--dims", "2:3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert len(out.read_text().splitlines()) == 4 * len(suite.PROPERTY_IDS) + 1

@@ -117,7 +117,7 @@ def _raising_body(error):
     """A body that plans no read and raises ``error`` whenever it checks members."""
 
     def body(reads, tr):
-        if not (isinstance(reads, suite._GroupReads) and len(reads.ok) == 0):
+        if not (isinstance(reads, suite._Group) and len(reads.ok) == 0):
             raise error("raised by the body")
 
     return body
@@ -142,6 +142,37 @@ def test_a_body_that_raises_a_value_error_fails_its_check(monkeypatch):
     rep = run_campaign(CampaignConfig(count=3, dims=(2, 3), properties=("P2",)))
     assert [(r.status, r.marginal, r.worst_margin, r.witness.norm_id, r.error)
             for r in rep.results] == [row] * 3
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+def test_check_property_rejects_a_tolerance_that_a_campaign_rejects(tolerance):
+    # A NaN or negative tolerance would fail a holding inequality, and an
+    # infinite one would pass every check.
+    with pytest.raises(ValueError) as campaign:
+        CampaignConfig(tolerance=tolerance)
+    with pytest.raises(ValueError) as check:
+        check_property("P2", InstanceSpec(seed=3, dim=3, cond_exponent=1.0), tolerance=tolerance)
+    assert str(check.value) == str(campaign.value)
+
+
+def test_instance_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        InstanceSpec(seed=-1, dim=3, cond_exponent=1.0)
+
+
+@pytest.mark.parametrize("p_grid", [(700.0,), (-1e-300, 1e-300), (-700.0, 700.0)])
+def test_a_p_grid_past_the_floating_point_range_reports_instead_of_warning(p_grid):
+    # pyproject.toml turns every RuntimeWarning into an error.  Powers that
+    # overflow in the group's fill or in a check are failed checks, in the
+    # group and alone alike.
+    config = CampaignConfig(master_seed=1, count=12, dims=(2, 3, 4), p_grid=p_grid)
+    report = run_campaign(config)
+    assert report.total_failures > 0
+    fresh = [check_property(pid, build_instance(config, i), config.tolerance)
+             for i in range(config.count) for pid in config.properties]
+    assert report_jsonl_lines(report)[:-1] == [
+        json.dumps(result_to_json_obj(r), separators=(",", ":"), allow_nan=False) for r in fresh
+    ]
 
 
 class _Observed(MarginTracker):

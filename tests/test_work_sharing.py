@@ -1,7 +1,9 @@
 """The campaign shares work through the per-instance table of means."""
 
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -188,7 +190,7 @@ def _groups(chunk, properties=suite.PROPERTY_IDS):
     by_dim = {}
     for data in chunk:
         by_dim.setdefault(data.dim, []).append(data)
-    return [suite._Group(members, plan) for members in by_dim.values()]
+    return [suite._Group(members[0].spec, members, plan) for members in by_dim.values()]
 
 
 @pytest.mark.parametrize("cond_exponent", [1.5, 4.0])
@@ -280,6 +282,28 @@ def test_a_new_read_is_filled_without_a_second_declaration(monkeypatch):
     assert not any("KeyError" in line for line in lines)
 
 
+def test_groups_are_freed_by_reference_counting(monkeypatch):
+    # Memory stays bounded by one chunk only if no group is part of a
+    # reference cycle, such as members that hold their group while the
+    # group holds them: with the collector off, each group must be freed
+    # once its last member ran.
+    groups = []
+    build = suite._Group.__init__
+
+    def recording(group, *args):
+        groups.append(weakref.ref(group))
+        build(group, *args)
+
+    monkeypatch.setattr(suite._Group, "__init__", recording)
+    gc.disable()
+    try:
+        suite.run_campaign(CampaignConfig(master_seed=1, count=70))
+        alive = sum(g() is not None for g in groups)
+    finally:
+        gc.enable()
+    assert len(groups) > 3 and alive == 0
+
+
 @pytest.mark.parametrize(
     "properties", [suite.PROPERTY_IDS, ("P6", "P8"), ("P2", "P9", "P13")]
 )
@@ -339,7 +363,6 @@ def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
             evaluate_property(pid, data)
     tables = [t for d in chunk for t in (d.means, d.multi_means)]
     assert not any(_stores_an_exception(v) for t in tables for v in t._memo.values())
-    assert not any(_stores_an_exception(v) for s in stacks for v in s._memo.values())
     # A point whose own build raises is never stored, not even by its read.
     for table, name, points in raised:
         for args in points:
