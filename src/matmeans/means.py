@@ -35,12 +35,12 @@ and stores only their whole spectra, one array per matrix name, the
 members leading.  The stacks' readers gather a grid from those arrays (a
 point not filled is a ``KeyError``) and compute the mean spectra of every
 member at once, on every call, with the bits of the point reads: each
-root is one call with a scalar exponent, and the endpoints t = 0 and
-t = 1 take the spectra of A and B.  Each reader also says which members'
-point reads could raise.  A stack never writes into its tables: such a
-member reads its own tables, as a fresh table would.  A stack of no
-members reads nothing and records every gather of its readers, which
-plans a fill.
+root is one call with a scalar exponent, and at t = 0 and t = 1, where
+every mean is A or B, they read the arithmetic path.  Each reader also
+says which members' point reads could raise.  A stack never writes into
+its tables: such a member reads its own tables, as a fresh table would.
+A stack of no members reads nothing and records every gather of its
+readers, which plans a fill.
 """
 
 from __future__ import annotations
@@ -497,108 +497,74 @@ class _TableStack:
     spectra of every member at once, with the bits of the tables' point reads;
     the fill did every solve, so a reader stores nothing and computes its
     result again on each call.  A reader returns ``(values, ok)``:
-    ``ok[i]`` is False where a point read of member i could raise, because a
-    point did not solve, a matrix fails validation or a spectrum fails a
-    positivity check; its values are then meaningless, and its reads must be
-    made on its own table, which the stack never writes to.
+    ``ok[i]`` is False where a point read of member i could raise, because
+    one of its points did not solve or a spectrum fails a positivity check;
+    its values are then meaningless, and its reads must be made on its own
+    table, which the stack never writes to.
     """
 
     def __init__(self, tables: Sequence, n: int):
         self.tables = tuple(tables)
         self.n = n
-        # name -> (column of each point, spectra (members, points, order),
-        #          which solved, which came from a block matrix of order 2n)
-        self._store: dict[str, tuple[dict, np.ndarray, np.ndarray, np.ndarray]] = {}
+        # name -> (column of each point, spectra (members, points, order), which solved)
+        self._store: dict[str, tuple[dict, np.ndarray, np.ndarray]] = {}
         self.gathered: list[tuple[str, tuple]] = []  # what a stack of no members read
 
-    def _gather(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Spectra of ``name`` at ``points`` (members, len(points), order), which
-        members solved all of them, and which spectra came from a block.
+    def spectra(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``table.spectrum(name, *point)`` of every member at each of ``points``,
+        (members, len(points), order), and which members solved all of them.
 
         A stack of no members plans a fill: it reads nothing, and records
         ``(name, points)`` in ``gathered``.
         """
         if not self.tables:
             self.gathered.append((name, points))
-            return (np.empty((0, len(points), self.n)), np.empty(0, dtype=bool),
-                    np.empty((0, len(points)), dtype=bool))
-        cols, lam, solved, block = self._store[name]
+            return np.empty((0, len(points), self.n)), np.empty(0, dtype=bool)
+        cols, lam, solved = self._store[name]
         idx = [cols[pt] for pt in points]
-        return lam[:, idx], solved[:, idx].all(axis=1), block[:, idx]
-
-    def spectra(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``table.spectrum(name, *point)`` of every member at each of ``points``."""
-        return self._gather(name, points)[:2]
-
-    @functools.cached_property
-    def valid(self) -> np.ndarray:
-        """Which members' ``checked()`` returns (every mean reads it first)."""
-        ok = []
-        for table in self.tables:
-            try:
-                table.checked()
-            except _CHECK_ERRORS:
-                ok.append(False)
-            else:
-                ok.append(True)
-        return np.array(ok, dtype=bool)
+        return lam[:, idx], solved[:, idx].all(axis=1)
 
 
 class PairStack(_TableStack):
-    """Pair tables of one order, read a grid at a time (see :class:`_TableStack`).
+    """Pair tables of one order, read a grid at a time (see :class:`_TableStack`)."""
 
-    Every interpolating mean is A at t = 0 and B at t = 1; there a reader
-    takes the spectrum of A or B, as the point reads do.
-    """
-
-    def eig_spectra(self, i: int) -> np.ndarray:
-        """``eig(i).lam`` of every member that passes validation, NaN for the others."""
-        out = np.full((len(self.tables), self.n), math.nan)
-        for j in np.flatnonzero(self.valid).tolist():
-            out[j] = self.tables[j].eig(i).lam
-        return out
-
-    def with_ends(self, ts: tuple, inner: np.ndarray) -> np.ndarray:
-        """Values over ``ts`` from ``inner``, the values at each t of ``ts``
-        other than 0 and 1 in order: at t = 0 and t = 1 the spectrum of A or B."""
+    def with_ends(self, ts: tuple, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values over ``ts``, and which members solved their ends: ``inner``
+        holds the values at each t other than 0 and 1, in order, and at t = 0
+        and t = 1 the filled ``arithmetic`` spectrum is A's or B's bits."""
+        ends = [i for i, t in enumerate(ts) if t == 0.0 or t == 1.0]
         out = np.empty((inner.shape[0], len(ts)) + inner.shape[2:])
-        ends = (1,) * (inner.ndim - 3)
-        j = 0
-        for i, t in enumerate(ts):
-            if t == 0.0 or t == 1.0:
-                e = self.eig_spectra(int(t))
-                out[:, i] = e.reshape(e.shape[:1] + ends + e.shape[1:])
-            else:
-                out[:, i] = inner[:, j]
-                j += 1
-        return out
+        out[:, [i for i in range(len(ts)) if i not in ends]] = inner
+        lam, ok = self.spectra("arithmetic", tuple((ts[i],) for i in ends))
+        out[:, ends] = lam.reshape(lam.shape[:2] + (1,) * (inner.ndim - 3) + lam.shape[2:])
+        return out, ok
 
     def power_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``power_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``."""
         inner = _inner(ts)
         lam, ok = self.spectra("power_aggregate", tuple((t, p) for t in inner for p in ps))
         vals, bad = _root_spectra(lam.reshape(len(lam), len(inner), len(ps), self.n), ps)
-        return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
+        vals, ends_ok = self.with_ends(ts, vals)
+        return vals, ok & ends_ok & ~_any_point(bad)
 
     def sandwich_mean_spectra(self, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``, every p > 0."""
+        """``sandwich_mean_spectrum(t, p)`` over the grid of ``ts`` and ``ps``, every p > 0.
+
+        A point with a number past column n solved the block of order 2n.
+        """
         inner = _inner(ts)
-        lam, ok, block = self._gather("sandwich_matrix", tuple((t, p) for t in inner for p in ps))
+        lam, ok = self.spectra("sandwich_matrix", tuple((t, p) for t in inner for p in ps))
         shape = (len(lam), len(inner), len(ps))
+        block = ~np.isnan(lam[..., self.n:self.n + 1]).all(axis=-1).reshape(shape)
         lam = lam[..., :self.n].reshape(shape + (self.n,))
-        block = block.reshape(shape)
         vals, bad = _root_spectra(lam, ps)
         for j, p in enumerate(ps):
             at = block[..., j]
             if at.any():  # the upper half of the block spectrum (+sigma, -sigma)
                 vals[..., j, :][at] = lam[..., j, :][at] ** (2.0 / p)
         bad &= ~block
-        return self.with_ends(ts, vals), ok & self.valid & ~_any_point(bad)
-
-    def arithmetic_spectra(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``arithmetic_spectrum(t)`` at each of ``ts``."""
-        lam, ok = self.spectra("arithmetic", tuple((t,) for t in _inner(ts)))
-        return self.with_ends(ts, lam), ok & self.valid
+        vals, ends_ok = self.with_ends(ts, vals)
+        return vals, ok & ends_ok & ~_any_point(bad)
 
     def cross_singular_values(self, ts: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``cross_singular_values(t)`` at each of ``ts``."""
@@ -634,7 +600,8 @@ def prefill(requests) -> None:
     ``_grid(name, points)``, all of them are stacked by order and solved by
     ``sym_eigen_batch``, and the whole spectra are stored by stack and name,
     the members leading.  A name whose matrices differ in order, the
-    sandwich with its factor blocks, pads the shorter spectra with NaN.  A
+    sandwich with its factor blocks, pads the shorter spectra with NaN, so
+    a spectrum with a number past order n solved a block.  A
     member whose grid build raises and a matrix whose solve raises store
     nothing but the mark that they did not solve: such a member reads its
     own table, where the point raises in its own place.
@@ -665,7 +632,6 @@ def prefill(requests) -> None:
                 width[key] = max(width[key], order)
     fresh = {
         key: (np.full((len(stack.tables), len(p), width[key]), math.nan),
-              np.zeros((len(stack.tables), len(p)), dtype=bool),
               np.zeros((len(stack.tables), len(p)), dtype=bool))
         for key, (stack, _, p) in new.items()
     }
@@ -678,10 +644,9 @@ def prefill(requests) -> None:
         for part, stack, name, i, cols in parts:
             rows = slice(start, start + len(part))
             start = rows.stop
-            spectra, solved, block = fresh[id(stack), name]
+            spectra, solved = fresh[id(stack), name]
             spectra[i, cols, :order] = lam[rows]
             solved[i, cols] = good[rows]
-            block[i, cols] = order > stack.n
     for key, arrays in fresh.items():
         stack, name, columns = new[key]
         stack._store[name] = (columns, *arrays)

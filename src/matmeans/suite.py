@@ -52,6 +52,7 @@ import contextlib
 import functools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -131,6 +132,20 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
+def _store_ints(obj, names, seqs=()) -> None:
+    """Store the fields ``names`` of a frozen dataclass as ints, and ``seqs`` as
+    tuples of ints; any integer but a bool is one, and anything else raises."""
+    def cast(name, v):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        return int(v)
+    for name in names:
+        object.__setattr__(obj, name, cast(name, getattr(obj, name)))
+    for name in seqs:
+        values = getattr(obj, name)
+        object.__setattr__(obj, name, tuple(cast(f"{name}[{i}]", v) for i, v in enumerate(values)))
+
+
 def _check_grids(cond_exponent: float, t_values, p_grid) -> None:
     """Checks shared by InstanceSpec and CampaignConfig.
 
@@ -158,6 +173,7 @@ class InstanceSpec:
     m: int = 2
 
     def __post_init__(self):
+        _store_ints(self, ("seed", "dim", "m"))
         if self.seed < 0:
             raise ValueError(f"instance seed must be >= 0, got {self.seed}")
         if self.dim < 2:
@@ -576,7 +592,8 @@ def _dual_spectra(s: PairStack, ts: tuple, ps: tuple) -> tuple[np.ndarray, np.nd
     roots = np.empty(lam.shape)
     for j, p in enumerate(ps):
         roots[..., j, :] = lam[..., j, :] ** (1.0 / p)
-    return s.with_ends(ts, roots), ok & s.valid
+    roots, ends_ok = s.with_ends(ts, roots)
+    return roots, ok & ends_ok
 
 
 def _unnormalized_power_spectrum(multi: MultiTable, p: float) -> np.ndarray:
@@ -624,7 +641,7 @@ _AT_T = {
                     lambda s, ts: _at_p0(s.sandwich_mean_spectra(ts, (1.0,)))),
     "cross_sym": (lambda m, t: _abs_desc(m.spectrum("cross_sym", t)), _cross_sym_spectra),
     "cross_sv": (lambda m, t: m.cross_singular_values(t), lambda s, ts: s.cross_singular_values(ts)),
-    "arithmetic": (lambda m, t: m.arithmetic_spectrum(t), lambda s, ts: s.arithmetic_spectra(ts)),
+    "arithmetic": (lambda m, t: m.arithmetic_spectrum(t), _entry_reads("arithmetic")[1]),
     "product_p1": _entry_reads("product", 1.0),
     "bab_power": _entry_reads("bab_power"),
     "chord_gap": _entry_reads("chord_gap"),
@@ -681,9 +698,6 @@ class _OwnReads:
     def spectrum(self, name: str) -> np.ndarray:
         return self.data.means.spectrum(name)[None]
 
-    def eig(self, i: int) -> np.ndarray:
-        return self.data.means.eig(i).lam[None]
-
     def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
         return np.reshape(np.array([fn(self.data.means)]), (1, *shape))
 
@@ -698,9 +712,10 @@ class _Group:
     campaign's :func:`_plan`, whose ``(stack, name, points)`` name the
     group's ``pairs`` or ``multis``.  A property runs once for the whole
     group, on the first member's check, with the group as its reads; each
-    member's check then takes its share.  Each read has the bits of the
-    point reads.  ``ok[i]`` turns False once a read of member i could raise;
-    member i's values are then meaningless, and it runs again on its own.
+    member's check then takes its share.  Every read but ``each`` comes from
+    the fill, with the bits of the point reads.  ``ok[i]`` turns False once
+    a read of member i could raise; member i's values are then
+    meaningless, and it runs again on its own.
     A group of no members reads nothing, and its stacks record every read.
     """
 
@@ -749,11 +764,6 @@ class _Group:
     def spectrum(self, name: str) -> np.ndarray:
         """``spectrum(name)`` of the pair table, (members, n)."""
         return self._take(self.pairs.spectra(name, ((),)))[:, 0]
-
-    def eig(self, i: int) -> np.ndarray:
-        """The spectrum of matrix i (A or B), (members, n)."""
-        self.ok &= self.pairs.valid
-        return self.pairs.eig_spectra(i)
 
     def each(self, fn, shape=(), fill=math.nan) -> np.ndarray:
         """fn(pair table) of each member, (members, *shape); a member where it raises
@@ -863,7 +873,8 @@ def _p7(r, tr) -> None:
     tr.compare("eq", lx[:, -1], ly[:, -1], "logdet", t=0.5)
     tr.compare("sum", s_geo, s_lee, t=0.5)
     ld_geo = _row_sums(np.log(s_geo))
-    ld_ab = 0.5 * (_row_sums(np.log(r.eig(0))) + _row_sums(np.log(r.eig(1))))
+    (ends,), _ = r.grid(("arithmetic",), ts=(0.0, 1.0))  # the spectra of A and B
+    ld_ab = 0.5 * (_row_sums(np.log(ends[:, 0])) + _row_sums(np.log(ends[:, 1])))
     tr.compare("eq", ld_geo, ld_ab, "logdet", t=0.5)
     root_product_trace = r.each(lambda m: np.trace(m.cross(0.5)))
     tr.compare("leq", _row_sums(s_geo), root_product_trace, "trace", t=0.5)
@@ -1010,8 +1021,9 @@ def _plan(spec: InstanceSpec, properties) -> list[tuple[str, str, tuple]]:
 
     Each body runs once on a group of no members, whose stacks record every
     gather, so a spectrum that a body reads is declared by that read alone;
-    a gather made again is planned once.
-    The plan holds for every dimension, since reads name only grid points.
+    a gather made again is planned once.  The plan holds for every
+    dimension, since reads name only grid points, and lists every spectrum
+    a group reads but those of ``reads.each``.
     """
     group = _Group(spec, (), ())
     for pid in properties:
@@ -1118,6 +1130,7 @@ class CampaignConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        _store_ints(self, ("master_seed", "count"), ("dims", "m_values"))
         if self.master_seed < 0:
             raise ValueError("master seed must be >= 0")
         if self.count < 0:

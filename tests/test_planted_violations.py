@@ -37,6 +37,15 @@ PLANTS = [
     Plant("P1", "leq", "power_mean@prev", "power_mean", "rhs", 0.25, 1.0, 1, ("lambda",)),
     Plant("P2", "KyFan", "geometric", "log_euclidean", "lhs", 0.25, None, 0, ("KyFan",)),
     Plant("P2", "KyFan", "log_euclidean", "power_mean", "rhs", 0.75, 2.0, 1, ("KyFan",)),
+    Plant("P3", "KyFan", "geometric", "log_euclidean", "lhs", 0.5, None, 1, ("KyFan",)),
+    Plant("P3", "KyFan", "log_euclidean", "sandwich", "rhs", 0.25, 2.0, 0, ("KyFan",)),
+    Plant("P3", "KyFan", "sandwich", "power_mean", "lhs", 0.75, 0.5, 1, ("KyFan",)),
+    # P4's links are t-only compares recorded at p = 1.
+    Plant("P4", "KyFan", "geometric", "log_euclidean", "lhs", 0.25, 1.0, 0, ("KyFan",)),
+    Plant("P4", "KyFan", "log_euclidean", "sandwich_p1", "rhs", 0.5, 1.0, 1, ("KyFan",)),
+    Plant("P4", "KyFan", "sandwich_p1", "cross_sym", "lhs", 0.75, 1.0, 2, ("KyFan",)),
+    Plant("P4", "KyFan", "cross_sym", "cross_sv", "rhs", 0.5, 1.0, 0, ("KyFan",)),
+    Plant("P4", "KyFan", "cross_sv", "arithmetic", "lhs", 0.25, 1.0, 1, ("KyFan",)),
     Plant("P5", "logsum", "geometric", "log_euclidean", "lhs", 0.5, None, 1,
           ("logsum", "logdet")),
     Plant("P5", "logdet", "geometric", "log_euclidean", "lhs", 0.25, None, 0,
@@ -137,11 +146,9 @@ def _label_and_k(norm_id):
     return label, (int(k) if k else None)
 
 
-@pytest.mark.parametrize("nan", [False, True], ids=["shift", "nan"])
-@pytest.mark.parametrize(
-    "plant", PLANTS, ids=[f"{p.pid}-{p.kind}-{p.moved}-{p.lhs}-{p.rhs}" for p in PLANTS]
-)
-def test_a_planted_violation_fails_at_its_link(monkeypatch, plant, nan):
+def _planted(monkeypatch, plant, nan):
+    """The planted member's row, once the other members pass and its group row
+    equals its row checked alone."""
     config = CampaignConfig(master_seed=1, count=3, dims=(3,), properties=(plant.pid,))
     members = [materialize(build_instance(config, i)) for i in range(config.count)]
     target, lone = members[1], materialize(members[1].spec)
@@ -152,8 +159,16 @@ def test_a_planted_violation_fails_at_its_link(monkeypatch, plant, nan):
     res = rows.pop(1)
     assert [r.status for r in rows] == ["pass"] * len(rows)  # the other members are not planted
     assert _row(check_property(plant.pid, lone)) == _row(res)
-
     assert res.status == "fail" and res.error is None
+    return res
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["shift", "nan"])
+@pytest.mark.parametrize(
+    "plant", PLANTS, ids=[f"{p.pid}-{p.kind}-{p.moved}-{p.lhs}-{p.rhs}" for p in PLANTS]
+)
+def test_a_planted_violation_fails_at_its_link(monkeypatch, plant, nan):
+    res = _planted(monkeypatch, plant, nan)
     assert (res.witness.t, res.witness.p) == (plant.t, plant.p)
     label, k = _label_and_k(res.witness.norm_id)
     assert label in plant.may_fail, res.witness
@@ -164,3 +179,12 @@ def test_a_planted_violation_fails_at_its_link(monkeypatch, plant, nan):
     else:
         assert res.worst_margin < -suite.MARGINAL_FACTOR * suite.DEFAULT_TOLERANCE
         assert k is None or k >= plant.k + 1
+
+
+def test_a_nan_in_the_spectrum_of_a_fails_p7s_determinant_identity(monkeypatch):
+    # P7 reads the spectra of A and B as the arithmetic path at t = 0 and
+    # t = 1; their log-determinants meet the geometric mean's at t = 0.5.
+    plant = Plant("P7", "logdet", "arithmetic", "arithmetic", "lhs", 0.0, None, 0, ("logdet",))
+    res = _planted(monkeypatch, plant, nan=True)
+    assert (res.witness.t, res.witness.p, res.witness.norm_id) == (0.5, None, "logdet")
+    assert math.isnan(res.worst_margin) and math.isnan(res.witness.rhs)

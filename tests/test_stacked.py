@@ -8,10 +8,11 @@ stack: C order, F order or a strided view.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from matmeans.densela import random_pd, sym_eigen, sym_eigen_batch
+from matmeans.densela import _BATCH_MIN, random_pd, sym_eigen, sym_eigen_batch
+from matmeans.means import PairTable
 from matmeans.spectra import log_prefix
 from matmeans.suite import BK_EXPONENTS, DEFAULT_P_GRID, DEFAULT_T_VALUES, _row_sums
 
@@ -94,3 +95,23 @@ def test_kernel_spectra_of_a_stack_are_each_members(n, members, seed, layout):
     assert errors == {}
     for m, row in zip(mats, lam):
         assert row.tobytes() == sym_eigen(m, vectors=False).lam.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.floats(0.0, 10.0), st.integers(0, 10_000))
+def test_the_arithmetic_path_at_its_ends_has_the_spectra_of_a_and_b(n, cond, seed):
+    # A group reads the spectra of A and B as the arithmetic path at t = 0
+    # and t = 1: random_pd is exactly symmetric, so symmetrize(1 A + 0 B) is
+    # A up to the sign of zero entries, which Jacobi's eigenvalues ignore.
+    table = PairTable(random_pd(n, cond, seed), random_pd(n, cond, seed + 1))
+    try:
+        table.checked()
+    except ValueError:
+        assume(False)
+    ends = np.array([table.arithmetic(0.0), table.arithmetic(1.0)])
+    want = [table.eig(0).lam.tobytes(), table.eig(1).lam.tobytes()]
+    for stack in (ends, np.repeat(ends, _BATCH_MIN, axis=0)):  # looped, then stacked
+        lam, errors = sym_eigen_batch(stack)
+        assert errors == {}
+        assert [row.tobytes() for row in lam] == [w for w in want for _ in range(len(stack) // 2)]
+    assert [table.spectrum("arithmetic", t).tobytes() for t in (0.0, 1.0)] == want

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -378,6 +379,36 @@ def test_config_validation():
         for count in (0, 100):
             with pytest.raises(ValueError, match="matrix counts must be nonempty and >= 1"):
                 CampaignConfig(count=count, m_values=m_values)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"dims": (2.5, 3)}, "dims[0]"), ({"m_values": (2.5,)}, "m_values[0]"),
+     ({"count": True}, "count"), ({"count": 2.5}, "count"), ({"master_seed": 1.5}, "master_seed")],
+    ids=["dims", "m_values", "count-bool", "count-float", "master_seed"],
+)
+def test_config_rejects_a_count_seed_or_dimension_that_is_not_an_integer(fields, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got "):
+        CampaignConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [{"count": np.int64(2)}, {"dims": (np.int64(3),)}],
+                         ids=["count", "dims"])
+def test_config_stores_a_numpy_integer_as_an_int(tmp_path, fields):
+    plain = {"count": 2, "dims": (3,), "properties": ("P1",)}
+    config = CampaignConfig(**(plain | fields))
+    assert config == CampaignConfig(**plain)
+    assert type(config.count) is int and all(type(d) is int for d in config.dims)
+    run_campaign(config, jsonl_path=tmp_path / "a.jsonl")
+    run_campaign(CampaignConfig(**plain), jsonl_path=tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("fields, name", [({"seed": 1.5}, "seed"), ({"dim": 3.0}, "dim")],
+                         ids=["seed", "dim"])
+def test_instance_spec_rejects_a_seed_or_dimension_that_is_not_an_integer(fields, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        InstanceSpec(**({"seed": 1, "dim": 3, "cond_exponent": 1.0} | fields))
 
 
 def test_config_rejects_repeated_property_ids():

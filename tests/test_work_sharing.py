@@ -1,15 +1,18 @@
 """The campaign shares work through the per-instance table of means."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
+import sys
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from matmeans import densela, means, suite
+from matmeans import cli, densela, means, suite
 from matmeans.suite import (
     CampaignConfig,
     InstanceData,
@@ -314,13 +317,13 @@ def test_every_prefilled_spectrum_is_read(monkeypatch, properties):
     prefilled = {(id(s), name, pt) for s in stacks for name, store in s._store.items()
                  for pt in store[0]}
     read = set()
-    real = means._TableStack._gather
+    real = means._TableStack.spectra
 
     def recording(stack, name, points):
         read.update((id(stack), name, pt) for pt in points)
         return real(stack, name, points)
 
-    monkeypatch.setattr(means._TableStack, "_gather", recording)
+    monkeypatch.setattr(means._TableStack, "spectra", recording)
     for data in chunk:
         for pid in properties:
             evaluate_property(pid, data)
@@ -353,7 +356,7 @@ def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
     stacks = [s for g in groups for s in (g.pairs, g.multis)]
     for table, name, points in raised:
         (stack,) = [s for s in stacks if table in s.tables]
-        cols, lam, solved, _ = stack._store[name]
+        cols, lam, solved = stack._store[name]
         i = stack.tables.index(table)
         assert not any(solved[i, cols[pt]] for pt in points)
         assert np.isnan(lam[i, [cols[pt] for pt in points]]).all()
@@ -409,3 +412,46 @@ def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_expone
     assert lines == fresh
     if cond_exponent > 1.5:
         assert any('"error"' in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "extra, want",
+    [((), {"list": 248, "stacked": 3630, "looped": 60}),
+     (("--cond", "4"), {"list": 248, "stacked": 3627, "looped": 63})],
+    ids=["plain", "cond4"],
+)
+def test_eigensolves_of_a_check_round_by_kernel_path(monkeypatch, tmp_path, extra, want):
+    # As scripts/eigensolve_counts.py counts them, for one round of its
+    # ref-corpus jobs: `list` counts the sym_eigen calls made outside
+    # sym_eigen_batch, `stacked` the matrices its stacked kernel solves,
+    # `looped` those it hands to sym_eigen.  A change of work shows here.
+    counts = dict.fromkeys(want, 0)
+    in_batch = []
+
+    def sym_eigen(*args, **kwargs):
+        counts["looped" if in_batch else "list"] += 1
+        return real_eigen(*args, **kwargs)
+
+    def sym_eigen_batch(mats, *args, **kwargs):
+        looped = counts["looped"]
+        in_batch.append(True)
+        try:
+            return real_batch(mats, *args, **kwargs)
+        finally:
+            in_batch.pop()
+            counts["stacked"] += len(mats) - (counts["looped"] - looped)
+
+    real_eigen, real_batch = densela.sym_eigen, densela.sym_eigen_batch
+    counted = {real_eigen: sym_eigen, real_batch: sym_eigen_batch}
+    for name, module in list(sys.modules.items()):
+        if name == "matmeans" or name.startswith("matmeans."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in counted:
+                    monkeypatch.setattr(module, attr, counted[value])
+    suite.paper_counterexample.cache_clear()  # P6's pair is solved in this round
+    for d in range(2, 7):
+        args = ["check", "--seed", str(1000 + d), "--dims", str(d), "--count", "6", *extra,
+                "--out", str(tmp_path / "report.jsonl")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(args)
+    assert counts == want
