@@ -64,15 +64,21 @@ class Tally:
 
         return sym_eigen_batch
 
-    def install(self) -> None:
-        """Rebind both kernels, counted, wherever a loaded matmeans module binds them."""
+    def bindings(self) -> list[tuple]:
+        """``(module, attr, wrapper)`` for each name that a loaded matmeans module
+        binds to a kernel: the wrapper counts the kernel's solves into this tally."""
         counted = {densela.sym_eigen: self._sym_eigen(densela.sym_eigen),
                    densela.sym_eigen_batch: self._sym_eigen_batch(densela.sym_eigen_batch)}
-        for name, module in list(sys.modules.items()):
-            if name == "matmeans" or name.startswith("matmeans."):
-                for attr, value in list(vars(module).items()):
-                    if callable(value) and value in counted:
-                        setattr(module, attr, counted[value])
+        return [(module, attr, counted[value])
+                for name, module in list(sys.modules.items())
+                if name == "matmeans" or name.startswith("matmeans.")
+                for attr, value in list(vars(module).items())
+                if callable(value) and value in counted]
+
+    def install(self) -> None:
+        """Rebind both kernels, counted, wherever a loaded matmeans module binds them."""
+        for module, attr, wrapper in self.bindings():
+            setattr(module, attr, wrapper)
 
 
 def main() -> int:

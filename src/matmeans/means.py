@@ -32,15 +32,16 @@ instances of one order, so that their spectra are solved and read a whole
 grid at a time.  :func:`prefill` fills them once: it builds the named
 matrices of every member, solves them by order with ``sym_eigen_batch``
 and stores only their whole spectra, one array per matrix name, the
-members leading.  The stacks' readers gather a grid from those arrays (a
-point not filled is a ``KeyError``) and compute the mean spectra of every
-member at once, on every call, with the bits of the point reads: each
-root is one call with a scalar exponent, and at t = 0 and t = 1, where
-every mean is A or B, they read the arithmetic path.  Each reader also
-says which members' point reads could raise.  A stack never writes into
-its tables: such a member reads its own tables, as a fresh table would.
-A stack of no members reads nothing and records every gather of its
-readers, which plans a fill.
+members leading; a point that did not solve is left NaN.  The stacks'
+readers gather a grid from those arrays (a point not filled is a
+``KeyError``) and compute the mean spectra of every member at once, on
+every call, with the bits of the point reads: each root is one call with
+a scalar exponent, and at t = 0 and t = 1, where every mean is A or B,
+they read the arithmetic path.  Each reader also says which members'
+point reads could raise.  A stack never writes into its tables: such a
+member reads its own tables, as a fresh table would.  A stack of no
+members reads nothing and records every gather of its readers, which
+plans a fill.
 """
 
 from __future__ import annotations
@@ -498,16 +499,16 @@ class _TableStack:
     the fill did every solve, so a reader stores nothing and computes its
     result again on each call.  A reader returns ``(values, ok)``:
     ``ok[i]`` is False where a point read of member i could raise, because
-    one of its points did not solve or a spectrum fails a positivity check;
-    its values are then meaningless, and its reads must be made on its own
-    table, which the stack never writes to.
+    one of its points did not solve (it is NaN) or a spectrum fails a
+    positivity check; its values are then meaningless, and its reads must
+    be made on its own table, which the stack never writes to.
     """
 
     def __init__(self, tables: Sequence, n: int):
         self.tables = tuple(tables)
         self.n = n
-        # name -> (column of each point, spectra (members, points, order), which solved)
-        self._store: dict[str, tuple[dict, np.ndarray, np.ndarray]] = {}
+        # name -> (column of each point, spectra (members, points, order), NaN where unsolved)
+        self._store: dict[str, tuple[dict, np.ndarray]] = {}
         self.gathered: list[tuple[str, tuple]] = []  # what a stack of no members read
 
     def spectra(self, name: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -520,9 +521,9 @@ class _TableStack:
         if not self.tables:
             self.gathered.append((name, points))
             return np.empty((0, len(points), self.n)), np.empty(0, dtype=bool)
-        cols, lam, solved = self._store[name]
-        idx = [cols[pt] for pt in points]
-        return lam[:, idx], solved[:, idx].all(axis=1)
+        cols, lam = self._store[name]
+        lam = lam[:, [cols[pt] for pt in points]]
+        return lam, ~np.isnan(lam[..., 0]).any(axis=1)
 
 
 class PairStack(_TableStack):
@@ -601,10 +602,11 @@ def prefill(requests) -> None:
     ``sym_eigen_batch``, and the whole spectra are stored by stack and name,
     the members leading.  A name whose matrices differ in order, the
     sandwich with its factor blocks, pads the shorter spectra with NaN, so
-    a spectrum with a number past order n solved a block.  A
-    member whose grid build raises and a matrix whose solve raises store
-    nothing but the mark that they did not solve: such a member reads its
-    own table, where the point raises in its own place.
+    a spectrum with a number past order n solved a block.  A member whose
+    grid build raises and a matrix whose solve raises store nothing: their
+    spectra stay NaN, the one mark of a point that did not solve, since a
+    solved spectrum is a number in column 0.  Such a member reads its own
+    table, where the point raises in its own place.
     """
     new: dict[tuple, tuple] = {}  # (stack, name) -> (stack, name, column of each point)
     for stack, name, points in requests:
@@ -630,26 +632,19 @@ def prefill(requests) -> None:
                 part = np.array([grid[j] for j in js])
                 by_order.setdefault(order, []).append((part, stack, name, i, js))
                 width[key] = max(width[key], order)
-    fresh = {
-        key: (np.full((len(stack.tables), len(p), width[key]), math.nan),
-              np.zeros((len(stack.tables), len(p)), dtype=bool))
-        for key, (stack, _, p) in new.items()
-    }
+    fresh = {key: np.full((len(stack.tables), len(p), width[key]), math.nan)
+             for key, (stack, _, p) in new.items()}
     while by_order:  # each stack is freed once solved
         order, parts = by_order.popitem()
-        lam, errors = sym_eigen_batch(np.concatenate([part for part, *_ in parts]))
-        good = np.ones(len(lam), dtype=bool)
-        good[list(errors)] = False
+        lam, _ = sym_eigen_batch(np.concatenate([part for part, *_ in parts]))  # NaN where raised
         start = 0
         for part, stack, name, i, cols in parts:
             rows = slice(start, start + len(part))
             start = rows.stop
-            spectra, solved = fresh[id(stack), name]
-            spectra[i, cols, :order] = lam[rows]
-            solved[i, cols] = good[rows]
-    for key, arrays in fresh.items():
+            fresh[id(stack), name][i, cols, :order] = lam[rows]
+    for key, spectra in fresh.items():
         stack, name, columns = new[key]
-        stack._store[name] = (columns, *arrays)
+        stack._store[name] = (columns, spectra)
 
 
 # ---------------------------------------------------------------------------

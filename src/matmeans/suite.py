@@ -28,16 +28,16 @@ member's check takes its share.  A body reads whole grids, every member
 at once, and compares each link of its chain in one call over (member,
 t, p, k); what it computes member by member (P8's compounds) it computes
 through ``reads.each``.
-The tracker records those margins as one compare per point would, member
-by member: by t, then p, then link within the point, then k.  That order
-decides the witness among equal margins, such as the exact 0.0 and -0.0
-at the endpoints t = 0 and t = 1.  A member whose reads could raise is
-left out of its group's run and runs the body alone, reading its own
-tables, which the group never writes to, point by point in the order of
-the property's reads, so the first read that raises raises its own
-error.  The group's fill and both runs ignore every numpy floating-point
-error (``np.errstate(all="ignore")``): an overflow, a division by zero or
-an invalid value shows as an inf or NaN spectrum, an error row or a NaN
+The tracker keeps every link and resolves each member in the order of one
+compare per point: by record, t, p, link, then k.  That order decides the
+witness among equal margins, such as the exact 0.0 and -0.0 at the
+endpoints t = 0 and t = 1.  A member whose reads could raise is left out
+of its group's run and runs the body alone, reading its own tables, which
+the group never writes to, point by point in the order of the property's
+reads, so the first read that raises raises its own error.  The group's
+fill and both runs ignore every numpy floating-point error
+(``np.errstate(all="ignore")``): an overflow, a division by zero or an
+invalid value shows as an inf or NaN spectrum, an error row or a NaN
 margin, which fails its check, never as a warning that stops a campaign.
 
 ``evaluate_property`` is still called once per (instance, property), and
@@ -132,13 +132,14 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-def _store_ints(obj, names, seqs=()) -> None:
-    """Store the fields ``names`` of a frozen dataclass as ints, and ``seqs`` as
-    tuples of ints; any integer but a bool is one, and anything else raises."""
+def _store(obj, kind, names, seqs=()) -> None:
+    """Store the fields ``names`` of a frozen dataclass, and the tuples ``seqs``, as
+    ``kind``: any integer for int, any real number for float, no bool; else raise."""
+    abc, what = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a real number")
     def cast(name, v):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        return int(v)
+        if isinstance(v, bool) or not isinstance(v, abc):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+        return kind(v)
     for name in names:
         object.__setattr__(obj, name, cast(name, getattr(obj, name)))
     for name in seqs:
@@ -173,7 +174,8 @@ class InstanceSpec:
     m: int = 2
 
     def __post_init__(self):
-        _store_ints(self, ("seed", "dim", "m"))
+        _store(self, int, ("seed", "dim", "m"))
+        _store(self, float, ("cond_exponent",), ("t_values", "p_grid"))
         if self.seed < 0:
             raise ValueError(f"instance seed must be >= 0, got {self.seed}")
         if self.dim < 2:
@@ -371,25 +373,28 @@ class MarginTracker:
     """Accumulates normalized sub-inequality margins for each member of a group.
 
     The arrays of a compare or an ``add`` lead with the member axis; a plain
-    tracker has one member.  Member i's margins are recorded in order, and
-    :meth:`tracker` returns what member i recorded: the worst margin is the
-    first of the smallest, and the first NaN is kept apart, because a NaN
-    margin is never the worst, and a sub-inequality that evaluated to NaN
-    was not shown to hold.
+    tracker has one member.  The tracker keeps every link it records, tagged
+    with its record: a chain is one record, and a compare or ``add`` outside
+    a chain is a record of its own.  :meth:`tracker` returns what member i
+    recorded, in recording order: by record, then grid point, then link, then
+    k.  The worst margin is the first of the smallest, and the first NaN is
+    kept apart, because a NaN margin is never the worst, and a
+    sub-inequality that evaluated to NaN was not shown to hold.
     """
 
     def __init__(self, members: int = 1):
+        self.members = members
         self.count = 0
-        self.worst = np.full(members, math.inf)
-        self._worst_at: list = [None] * members  # (link, flat index) of each worst
-        self._nan_at: list = [None] * members  # and of each first NaN
-        self._links: list | None = None  # the links of an open chain
+        self._links: list[_Link] = []
+        self._records = 0  # the record of the next link
+        self._chained = False
+        self._resolved: list | None = None  # what _resolve returned, until the next record
 
     def add(self, margins, *, t=None, p=None, norm_id=None, lhs=None, rhs=None):
         """Record given margins, shaped (members, *grid[, k]); a scalar margin,
         ``lhs`` or ``rhs`` is every member's.  ``lhs`` and ``rhs`` may be None."""
         m = np.asarray(margins, dtype=float)
-        m = np.broadcast_to(m, m.shape or self.worst.shape)
+        m = np.broadcast_to(m, m.shape or (self.members,))
         l, r = (None if v is None else np.broadcast_to(np.asarray(v, dtype=float), m.shape)
                 for v in (lhs, rhs))
         self._put(_Link(m, l, r, norm_id, t, p, _grid_ndim(t, p)))
@@ -424,70 +429,66 @@ class MarginTracker:
         return l, r
 
     def _put(self, link: "_Link") -> None:
-        if self._links is None:
-            self._record([link])
-        else:
-            self._links.append(link)
+        link.record = self._records
+        self._links.append(link)
+        self.count += math.prod(link.margins.shape[1:])
+        self._resolved = None
+        if not self._chained:
+            self._records += 1
 
     @contextlib.contextmanager
     def chain(self):
-        """Record the compares made inside as one chain over a shared grid.
+        """Record the compares made inside as one record over a shared grid.
 
         Their margins are recorded as one compare per grid point and link
         would record them: by grid point, then link (the order of the
         compares), then k.  A link over fewer grid axes, such as a t-only link beside
         (t, p) links, comes first at its leading index.
         """
-        self._links = links = []
+        self._chained = True
         try:
             yield
         finally:
-            self._links = None
-        self._record(links)
+            self._chained = False
+            self._records += 1
 
-    def _record(self, links: list) -> None:
-        """Record the margins of ``links``, one chain, member by member.
+    def _resolve(self) -> list:
+        """Per member, (link, flat index) of its first smallest margin and of its
+        first NaN, or None, with every entry put in recording order by one
+        stable sort."""
+        if not self.count:
+            return [(None, None)] * self.members
+        links = self._links
+        sizes = [math.prod(lk.margins.shape[1:]) for lk in links]
+        ends = np.cumsum(sizes)
+        owner = np.repeat(np.arange(len(links)), sizes)
+        entry = np.arange(ends[-1]) - (ends - sizes)[owner]  # the flat index within its link
+        grid = np.zeros((max(lk.grid_ndim for lk in links), ends[-1]), dtype=int)
+        for lk, end, size in zip(links, ends.tolist(), sizes):
+            shape = lk.margins.shape[1:]  # grid index from 1, 0 past the link's own axes
+            for a, axis in enumerate(np.indices(shape, sparse=True)[:lk.grid_ndim]):
+                grid[a, end - size:end].reshape(shape)[...] = axis + 1
+        order = np.lexsort((owner, *grid[::-1], np.array([lk.record for lk in links])[owner]))
+        owner, entry = owner[order], entry[order]
+        margins = np.concatenate([lk.margins.reshape(self.members, -1) for lk in links], axis=1)
+        margins = margins[:, order]
+        lo = np.fmin.reduce(margins, axis=1)  # NaN only if every margin is
+        nan = np.isnan(margins)
+        worst = np.where(lo < math.inf, np.argmax(margins == lo[:, None], axis=1), -1)
+        first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), -1)
 
-        Within a link the chain order is C order, so each link offers its
-        first smallest margin and its first NaN, and the earliest of those
-        offers in chain order is recorded.
-        """
-        members = len(self.worst)
-        self.count += sum(math.prod(lk.margins.shape[1:]) for lk in links)
-        links = [lk for lk in links if lk.margins.size]
-        if not links:
-            return
-        flat = [lk.margins.reshape(members, -1) for lk in links]
-        lows = np.array([np.fmin.reduce(f, axis=1) for f in flat])  # NaN only if every margin is
-        lo = np.fmin.reduce(lows, axis=0)
-        first = [np.argmax(f == low[:, None], axis=1) for f, low in zip(flat, lows)]
-        nans = [np.isnan(f) for f in flat]
-        has_nan = np.array([n.any(axis=1) for n in nans])
-        first_nan = [np.argmax(n, axis=1) for n in nans]
-        if len(links) == 1:
-            win = nan_win = np.zeros(members, dtype=int)
-        else:
-            win = _earliest(links, first, lows == lo)
-            nan_win = _earliest(links, first_nan, has_nan)
-        for i in np.flatnonzero(lo < self.worst).tolist():
-            w = win[i]
-            j = first[w][i]
-            self.worst[i] = flat[w][i, j]
-            self._worst_at[i] = (links[w], j)
-        for i in np.flatnonzero(has_nan.any(axis=0)).tolist():
-            if self._nan_at[i] is None:
-                w = nan_win[i]
-                self._nan_at[i] = (links[w], first_nan[w][i])
+        def at(j):
+            return None if j < 0 else (links[owner[j]], int(entry[j]))
+
+        return [(at(w), at(j)) for w, j in zip(worst.tolist(), first_nan.tolist())]
 
     def tracker(self, i: int) -> _Record:
         """What member i recorded."""
-        worst, witness, nan_witness = math.inf, Witness(), None
-        if self._worst_at[i] is not None:
-            link, j = self._worst_at[i]
-            worst, witness = link.witness(i, int(j))
-        if self._nan_at[i] is not None:
-            link, j = self._nan_at[i]
-            nan_witness = link.witness(i, int(j))[1]
+        if self._resolved is None:
+            self._resolved = self._resolve()
+        worst_at, nan_at = self._resolved[i]
+        worst, witness = worst_at[0].witness(i, worst_at[1]) if worst_at else (math.inf, Witness())
+        nan_witness = nan_at[0].witness(i, nan_at[1])[1] if nan_at else None
         return _Record(worst, witness, nan_witness, self.count)
 
 
@@ -495,7 +496,7 @@ class MarginTracker:
 class _Link:
     """One compare of every member: margins and compared values shaped
     (members, *grid[, k]), with the grid axes of ``t`` and ``p``; the values
-    of an ``add`` may be None."""
+    of an ``add`` may be None.  ``record`` is the tracker's record of the link."""
 
     margins: np.ndarray
     l: np.ndarray
@@ -504,6 +505,7 @@ class _Link:
     t: object
     p: object
     grid_ndim: int
+    record: int = 0
 
     def witness(self, i: int, j: int) -> tuple[float, Witness]:
         """(margin, witness) of member i's flat entry j."""
@@ -517,25 +519,6 @@ class _Link:
         norm_id = f"{self.label}:{idx[g] + 1}" if len(idx) > g else self.label
         lhs, rhs = (None if v is None else float(v[i][idx]) for v in (self.l, self.r))
         return float(self.margins[i][idx]), Witness(t=t, p=p, norm_id=norm_id, lhs=lhs, rhs=rhs)
-
-
-def _earliest(links: list, offers: list, valid: np.ndarray) -> np.ndarray:
-    """Per member, the link whose offer (a flat index per member) comes first in
-    chain order, among the links where ``valid`` (links, members) holds."""
-    rank = max(lk.grid_ndim for lk in links)
-    radix = [1 + max(lk.margins.shape[1 + a] for lk in links if lk.grid_ndim > a)
-             for a in range(rank)]
-    keys = []
-    for li, (lk, j) in enumerate(zip(links, offers)):
-        g = lk.grid_ndim
-        k = math.prod(lk.margins.shape[1 + g:])
-        idx = np.unravel_index(j // k, lk.margins.shape[1:1 + g])
-        key = np.zeros(len(j), dtype=np.int64)
-        for a in range(rank):  # grid index, padded with -1 past a link's own axes
-            key = key * radix[a] + (idx[a] + 1 if a < g else 0)
-        keys.append(key * len(links) + li)
-    keys = np.where(valid, np.array(keys), np.iinfo(np.int64).max)
-    return np.argmin(keys, axis=0)
 
 
 _KINDS = ("leq", "eq", "KyFan", "sum", "logsum")
@@ -1130,7 +1113,8 @@ class CampaignConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        _store_ints(self, ("master_seed", "count"), ("dims", "m_values"))
+        _store(self, int, ("master_seed", "count"), ("dims", "m_values"))
+        _store(self, float, ("cond_exponent", "tolerance"), ("t_values", "p_grid"))
         if self.master_seed < 0:
             raise ValueError("master seed must be >= 0")
         if self.count < 0:

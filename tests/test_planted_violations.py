@@ -58,6 +58,8 @@ PLANTS = [
     Plant("P5", "logsum", "sandwich", "power_mean", "rhs", 0.75, 1.0, 1, ("logsum",)),
     Plant("P7", "sum", "geometric", "sandwich_p1", "lhs", 0.5, None, 0,
           ("logsum", "logdet", "sum", "trace")),
+    Plant("P13", "logsum", "geometric", "product_p1", "lhs", 0.25, None, 1, ("logsum", "logdet")),
+    Plant("P13", "logdet", "geometric", "product_p1", "rhs", 0.75, None, 2, ("logsum", "logdet")),
 ]
 
 
@@ -143,24 +145,29 @@ def _row(res):
 
 def _label_and_k(norm_id):
     label, _, k = norm_id.partition(":")
-    return label, (int(k) if k else None)
+    return label, (int(k) if k.isdigit() else None)
 
 
-def _planted(monkeypatch, plant, nan):
+def _planted(monkeypatch, pid, planting):
     """The planted member's row, once the other members pass and its group row
-    equals its row checked alone."""
-    config = CampaignConfig(master_seed=1, count=3, dims=(3,), properties=(plant.pid,))
+    equals its row checked alone.  ``planting(monkeypatch, targets, lone)``
+    plants in the members whose table is in ``targets``."""
+    config = CampaignConfig(master_seed=1, count=3, dims=(3,), properties=(pid,))
     members = [materialize(build_instance(config, i)) for i in range(config.count)]
     target, lone = members[1], materialize(members[1].spec)
-    assert check_property(plant.pid, lone).status == "pass"
+    assert check_property(pid, lone).status == "pass"
     suite._Group(target.spec, members, suite._plan(target.spec, config.properties))
-    _planting(monkeypatch, plant, (target.means, lone.means), nan)
-    rows = [check_property(plant.pid, d) for d in members]
+    planting(monkeypatch, (target.means, lone.means), lone)
+    rows = [check_property(pid, d) for d in members]
     res = rows.pop(1)
     assert [r.status for r in rows] == ["pass"] * len(rows)  # the other members are not planted
-    assert _row(check_property(plant.pid, lone)) == _row(res)
+    assert _row(check_property(pid, lone)) == _row(res)
     assert res.status == "fail" and res.error is None
     return res
+
+
+def _grid_planting(plant, nan):
+    return lambda monkeypatch, targets, lone: _planting(monkeypatch, plant, targets, nan)
 
 
 @pytest.mark.parametrize("nan", [False, True], ids=["shift", "nan"])
@@ -168,7 +175,7 @@ def _planted(monkeypatch, plant, nan):
     "plant", PLANTS, ids=[f"{p.pid}-{p.kind}-{p.moved}-{p.lhs}-{p.rhs}" for p in PLANTS]
 )
 def test_a_planted_violation_fails_at_its_link(monkeypatch, plant, nan):
-    res = _planted(monkeypatch, plant, nan)
+    res = _planted(monkeypatch, plant.pid, _grid_planting(plant, nan))
     assert (res.witness.t, res.witness.p) == (plant.t, plant.p)
     label, k = _label_and_k(res.witness.norm_id)
     assert label in plant.may_fail, res.witness
@@ -185,6 +192,115 @@ def test_a_nan_in_the_spectrum_of_a_fails_p7s_determinant_identity(monkeypatch):
     # P7 reads the spectra of A and B as the arithmetic path at t = 0 and
     # t = 1; their log-determinants meet the geometric mean's at t = 0.5.
     plant = Plant("P7", "logdet", "arithmetic", "arithmetic", "lhs", 0.0, None, 0, ("logdet",))
-    res = _planted(monkeypatch, plant, nan=True)
+    res = _planted(monkeypatch, plant.pid, _grid_planting(plant, nan=True))
     assert (res.witness.t, res.witness.p, res.witness.norm_id) == (0.5, None, "logdet")
     assert math.isnan(res.worst_margin) and math.isnan(res.witness.rhs)
+
+
+# --- plants in a read whose link compares a value derived from it ----------------
+
+
+class ReadPlant(NamedTuple):
+    pid: str
+    read: str  # the reader method: "multi", "spectrum" or "grid" (a t-only read)
+    name: object  # the read's first argument: its name, or a grid's at_t
+    at: float | None  # the planted p of a multi read, t of a grid read; None for a spectrum
+    k: int  # the planted entry, from 0
+    move: str  # a key of _MOVES
+    t: float | None  # the witness point
+    p: float | None
+    may_fail: tuple
+
+
+_MOVES = {
+    "up": lambda v, s: v * math.exp(s),  # |v| grows
+    "down": lambda v, s: v * math.exp(-s),  # |v| shrinks
+    "below": lambda v, s: v - s * (1.0 + abs(v)),  # v falls, past 0
+}
+
+READ_PLANTS = [
+    ReadPlant("P9", "multi", "power_mean", 0.5, 1, "down", None, 0.5, ("lambda",)),
+    ReadPlant("P9", "multi", "unnormalized", 1.0, 0, "up", None, 1.0, ("KyFan",)),
+    ReadPlant("P9", "multi", "power_sum", 2.0, 1, "up", None, 2.0, ("KyFan",)),
+    ReadPlant("P10", "multi", "power_mean", 2.0, 0, "down", None, 2.0, ("KyFan",)),
+    ReadPlant("P11", "spectrum", "block_geo", None, -1, "below", None, None, ("block-geo",)),
+    ReadPlant("P11", "spectrum", "block_root", None, -1, "below", None, None, ("block-root",)),
+    # P13's bounds at t = 1/2 share both reads: a move of either side can fail either.
+    ReadPlant("P13", "spectrum", "bab_half", None, 1, "down", 0.5, None, ("KyFan",)),
+    ReadPlant("P13", "grid", ("geometric",), 0.5, 0, "up", 0.5, None, ("KyFan",)),
+    ReadPlant("P13", "grid", ("bab_power",), 0.75, 1, "up", 0.75, None, ("KyFan",)),
+    ReadPlant("P14", "spectrum", "x_congruence", None, 0, "up", None, None, ("KyFan",)),
+    ReadPlant("P14", "spectrum", "x_jordan", None, 0, "down", None, None, ("KyFan",)),
+]
+
+
+def _planting_reads(monkeypatch, plant, targets, value):
+    """Set the planted entry v of the planted read to value(v), in both readers,
+    for the members whose table is in ``targets``."""
+    for reader in (suite._Group, suite._OwnReads):
+
+        def read(reads, *args, real=getattr(reader, plant.read), **kwargs):
+            out = real(reads, *args, **kwargs)
+            if args[0] != plant.name:
+                return out
+            values, at = out, ()
+            if plant.read == "spectrum":
+                values = out = out.copy()  # a lone read is a view of its table's entry
+            elif plant.read == "multi":
+                if plant.at not in args[1]:
+                    return out
+                at = (args[1].index(plant.at),)
+            else:
+                ts = suite._axes(reads.spec, kwargs.get("ts"), None)[0]
+                if plant.at not in ts:
+                    return out
+                values, at = out[0][0], (ts.index(plant.at),)
+            own = isinstance(reads, suite._OwnReads)
+            for i, table in enumerate((reads.data.means,) if own else reads.pairs.tables):
+                if any(table is t for t in targets):
+                    values[(i, *at, plant.k)] = value(values[(i, *at, plant.k)])
+            return out
+
+        monkeypatch.setattr(reader, plant.read, read)
+
+
+def _read_planting(plant, nan):
+    """Plant NaN, or the least move that fails the lone check (to bisection precision)."""
+
+    def planting(monkeypatch, targets, lone):
+        move = _MOVES[plant.move]
+
+        def fails(s):
+            with monkeypatch.context() as mp:
+                _planting_reads(mp, plant, (lone.means,), lambda v: move(v, s))
+                return check_property(plant.pid, lone).status == "fail"
+
+        s = math.nan
+        if not nan:
+            lo, s = 0.0, 1e-9
+            while not fails(s):
+                lo, s = s, 4.0 * s
+                assert s < 1e3, plant
+            for _ in range(40):
+                mid = 0.5 * (lo + s)
+                lo, s = (lo, mid) if fails(mid) else (mid, s)
+        _planting_reads(monkeypatch, plant, targets, lambda v: math.nan if nan else move(v, s))
+
+    return planting
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["shift", "nan"])
+@pytest.mark.parametrize(
+    "plant", READ_PLANTS, ids=[f"{p.pid}-{p.read}-{p.name}-{p.at}-{p.move}" for p in READ_PLANTS]
+)
+def test_a_planted_read_fails_at_its_link(monkeypatch, plant, nan):
+    res = _planted(monkeypatch, plant.pid, _read_planting(plant, nan))
+    assert (res.witness.t, res.witness.p) == (plant.t, plant.p)
+    label, k = _label_and_k(res.witness.norm_id)
+    assert label in plant.may_fail, res.witness
+    if nan:
+        assert math.isnan(res.worst_margin)
+        assert k is None or k <= plant.k + 1
+    else:
+        assert res.worst_margin < -suite.MARGINAL_FACTOR * suite.DEFAULT_TOLERANCE
+        assert k is None or k >= plant.k + 1

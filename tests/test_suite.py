@@ -183,9 +183,9 @@ class _Observed(MarginTracker):
         super().__init__()
         self.links = []
 
-    def _record(self, links):
-        self.links += links
-        super()._record(links)
+    def _put(self, link):
+        self.links.append(link)
+        super()._put(link)
 
 
 def _recorded(kind, lhs, rhs, label=None):
@@ -409,6 +409,62 @@ def test_config_stores_a_numpy_integer_as_an_int(tmp_path, fields):
 def test_instance_spec_rejects_a_seed_or_dimension_that_is_not_an_integer(fields, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
         InstanceSpec(**({"seed": 1, "dim": 3, "cond_exponent": 1.0} | fields))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"cond_exponent": np.float32(1.0)}, {"t_values": (np.float32(0.5),)},
+     {"tolerance": np.float32(1e-8)}],
+    ids=["cond_exponent", "t_values", "tolerance"],
+)
+def test_config_stores_a_numpy_float_as_a_float_and_writes_its_report(tmp_path, fields):
+    config = CampaignConfig(**({"count": 1, "dims": (2,), "properties": ("P1",)} | fields))
+    floats = (config.cond_exponent, config.tolerance, *config.t_values, *config.p_grid)
+    assert all(type(v) is float for v in floats)
+    run_campaign(config, jsonl_path=tmp_path / "a.jsonl")
+    assert json.loads((tmp_path / "a.jsonl").read_text().splitlines()[-1])["summary"]
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"cond_exponent": True}, "cond_exponent"), ({"tolerance": "1e-8"}, "tolerance"),
+     ({"t_values": (0.5, None)}, "t_values[1]"), ({"p_grid": ("1",)}, "p_grid[0]")],
+    ids=["cond_exponent-bool", "tolerance-str", "t_values", "p_grid"],
+)
+def test_config_rejects_a_grid_value_or_tolerance_that_is_not_a_real_number(fields, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a real number, got "):
+        CampaignConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"cond_exponent": False}, "cond_exponent"), ({"p_grid": (1.0, "2")}, "p_grid[1]"),
+     ({"t_values": (0.5, True)}, "t_values[1]")],
+    ids=["cond_exponent-bool", "p_grid", "t_values-bool"],
+)
+def test_instance_spec_rejects_a_grid_value_that_is_not_a_real_number(fields, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a real number, got "):
+        InstanceSpec(**({"seed": 1, "dim": 3, "cond_exponent": 1.0} | fields))
+
+
+def test_instance_spec_stores_a_numpy_float_as_a_float():
+    spec = InstanceSpec(seed=1, dim=3, cond_exponent=np.float32(1.5), t_values=(np.float64(0.5),),
+                        p_grid=(np.float32(-1.0), 2))
+    assert spec == InstanceSpec(seed=1, dim=3, cond_exponent=1.5, t_values=(0.5,), p_grid=(-1.0, 2.0))
+    assert all(type(v) is float for v in (spec.cond_exponent, *spec.t_values, *spec.p_grid))
+
+
+def test_a_float32_config_writes_the_bytes_of_the_equal_float_config(tmp_path):
+    # Every value is exactly representable in float32.
+    plain = {"count": 3, "dims": (2, 3), "cond_exponent": 1.5, "t_values": (0.0, 0.25, 1.0),
+             "p_grid": (-1.0, 0.5, 2.0), "tolerance": 2.0**-20, "properties": ("P1", "P5", "P9")}
+    f32 = plain | {"cond_exponent": np.float32(1.5), "tolerance": np.float32(2.0**-20),
+                   "t_values": tuple(np.float32(plain["t_values"])),
+                   "p_grid": tuple(np.float32(plain["p_grid"]))}
+    assert CampaignConfig(**f32) == CampaignConfig(**plain)
+    run_campaign(CampaignConfig(**f32), jsonl_path=tmp_path / "a.jsonl")
+    run_campaign(CampaignConfig(**plain), jsonl_path=tmp_path / "b.jsonl")
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def test_config_rejects_repeated_property_ids():
@@ -702,4 +758,110 @@ def test_group_compare_records_what_each_member_would_record(chain, chained):
                     assert _bits(np.ravel(r)) == _bits(np.ravel(gr[i]))
     assert [_state(trackers.tracker(i)) for i in range(members)] == [
         _state(tr.tracker(0)) for tr in alone
+    ]
+
+
+# --- a tracker resolves every record in recording order -------------------------
+
+
+@st.composite
+def _values(draw, shape):
+    if draw(st.booleans()):  # one value throughout: all ties, or all NaN
+        return np.full(shape, draw(_GRID_ENTRY))
+    return np.reshape(draw(st.lists(_GRID_ENTRY, min_size=math.prod(shape),
+                                    max_size=math.prod(shape))), shape)
+
+
+@st.composite
+def _record_sequence(draw):
+    """Records of several members over a (T, P) grid of K-vectors, in any order:
+    compares and adds outside a chain, with no grid, a t grid or a (t, p) grid,
+    and chains of t-only and (t, p) links.  A link is (kind or "add", grid
+    rank, margins, lhs, rhs); a compare reads only lhs and rhs."""
+    members = draw(st.integers(1, 4))
+    n_t, n_p, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+
+    def link(ranks):
+        kind, rank = draw(st.sampled_from((*suite._KINDS, "add"))), draw(st.sampled_from(ranks))
+        shape = (members, *((), (n_t,), (n_t, n_p))[rank])
+        if kind in ("leq", "eq", "add") and draw(st.booleans()):
+            if kind == "add" and rank == 0 and draw(st.booleans()):
+                shape = ()  # every member's scalar
+        else:
+            shape = (*shape, k)
+        return kind, rank, *(draw(_values(shape)) for _ in range(3))
+
+    records = []
+    for _ in range(draw(st.integers(1, 5))):
+        chained = draw(st.booleans())
+        records.append([link((1, 2)) for _ in range(draw(st.integers(1, 3)))] if chained
+                       else link((0, 1, 2)))
+    return members, n_t, n_p, records
+
+
+def _sequential_entries(tr, i, link, point, ts, ps):
+    """Member i's share of one link at one grid point, one sequential record per entry."""
+    kind, rank, margins, lhs, rhs = link
+    where = dict(zip(("t", "p"), (ts[point[0]].item() if rank else None,
+                                   ps[point[1]].item() if rank == 2 else None)))
+    if kind != "add":
+        _sequential_compare(tr, kind, lhs[i][point], rhs[i][point], kind + "-link", **where)
+        return
+    m, l, r = (v if v.ndim == 0 else v[i][point] for v in (margins, lhs, rhs))
+    if m.ndim == 0:
+        tr.add(float(m), norm_id="add", lhs=float(l), rhs=float(r), **where)
+        return
+    for j, (mj, lj, rj) in enumerate(zip(m.tolist(), l.tolist(), r.tolist()), 1):
+        tr.add(mj, norm_id=f"add:{j}", lhs=lj, rhs=rj, **where)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_record_sequence())
+def test_records_resolve_as_one_sequential_record_per_entry(sequence):
+    members, n_t, n_p, records = sequence
+    ts, ps = np.array(_T_AXIS[:n_t]), np.array(_P_AXIS[:n_p])
+    tr, alone = MarginTracker(members), [MarginTracker() for _ in range(members)]
+    with np.errstate(all="ignore"):
+        for rec in records:
+            chained = isinstance(rec, list)
+            with tr.chain() if chained else contextlib.nullcontext():
+                for kind, rank, margins, lhs, rhs in rec if chained else [rec]:
+                    where = ({}, {"t": ts}, {"t": ts[:, None], "p": ps})[rank]
+                    if kind == "add":
+                        tr.add(margins, norm_id="add", lhs=lhs, rhs=rhs, **where)
+                    else:
+                        tr.compare(kind, lhs, rhs, kind + "-link", **where)
+            for i, seq in enumerate(alone):
+                if not chained:
+                    for point in np.ndindex(*((), (n_t,), (n_t, n_p))[rec[1]]):
+                        _sequential_entries(seq, i, rec, point, ts, ps)
+                    continue
+                for a in range(n_t):  # a t-only link first at its t
+                    for link in rec:
+                        if link[1] == 1:
+                            _sequential_entries(seq, i, link, (a,), ts, ps)
+                    for b in range(n_p):
+                        for link in rec:
+                            if link[1] == 2:
+                                _sequential_entries(seq, i, link, (a, b), ts, ps)
+            # Read after every record: a read sees every record made before it.
+            assert [_state(tr.tracker(i)) for i in range(members)] == [
+                _state(seq.tracker(0)) for seq in alone
+            ]
+
+
+def test_a_record_made_after_a_read_is_seen_by_the_next_read():
+    tr = MarginTracker(2)
+    tr.add([0.5, 0.25], norm_id="first")
+    assert [tr.tracker(i).witness.norm_id for i in range(2)] == ["first", "first"]
+    tr.compare("leq", [2.0, 1.0], [1.0, 4.0], "second")  # margins -1/3 and 3/5
+    got = [tr.tracker(i) for i in range(2)]
+    assert [(r.worst, r.witness.norm_id, r.count) for r in got] == [
+        (-1.0 / 3.0, "second", 2), (0.25, "first", 2)
+    ]
+    with tr.chain():
+        tr.add([0.0, math.nan], norm_id="third")
+    got = [tr.tracker(i) for i in range(2)]
+    assert [(r.witness.norm_id, r.nan_witness, r.count) for r in got] == [
+        ("second", None, 3), ("first", suite.Witness(norm_id="third"), 3)
     ]

@@ -3,11 +3,12 @@
 import contextlib
 import dataclasses
 import gc
+import importlib.util
 import io
 import json
-import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,10 +357,10 @@ def test_prefill_stores_no_error_and_nothing_of_a_grid_that_raised(monkeypatch):
     stacks = [s for g in groups for s in (g.pairs, g.multis)]
     for table, name, points in raised:
         (stack,) = [s for s in stacks if table in s.tables]
-        cols, lam, solved = stack._store[name]
+        cols, lam = stack._store[name]
         i = stack.tables.index(table)
-        assert not any(solved[i, cols[pt]] for pt in points)
         assert np.isnan(lam[i, [cols[pt] for pt in points]]).all()
+        assert not stack.spectra(name, tuple(points))[1][i]
 
     for data in chunk:
         for pid in suite.PROPERTY_IDS:
@@ -414,6 +415,9 @@ def test_campaign_bytes_match_fresh_checks_per_instance(monkeypatch, cond_expone
         assert any('"error"' in line for line in lines)
 
 
+_EIGENSOLVE_COUNTS = Path(__file__).resolve().parent.parent / "scripts" / "eigensolve_counts.py"
+
+
 @pytest.mark.parametrize(
     "extra, want",
     [((), {"list": 248, "stacked": 3630, "looped": 60}),
@@ -425,33 +429,16 @@ def test_eigensolves_of_a_check_round_by_kernel_path(monkeypatch, tmp_path, extr
     # ref-corpus jobs: `list` counts the sym_eigen calls made outside
     # sym_eigen_batch, `stacked` the matrices its stacked kernel solves,
     # `looped` those it hands to sym_eigen.  A change of work shows here.
-    counts = dict.fromkeys(want, 0)
-    in_batch = []
-
-    def sym_eigen(*args, **kwargs):
-        counts["looped" if in_batch else "list"] += 1
-        return real_eigen(*args, **kwargs)
-
-    def sym_eigen_batch(mats, *args, **kwargs):
-        looped = counts["looped"]
-        in_batch.append(True)
-        try:
-            return real_batch(mats, *args, **kwargs)
-        finally:
-            in_batch.pop()
-            counts["stacked"] += len(mats) - (counts["looped"] - looped)
-
-    real_eigen, real_batch = densela.sym_eigen, densela.sym_eigen_batch
-    counted = {real_eigen: sym_eigen, real_batch: sym_eigen_batch}
-    for name, module in list(sys.modules.items()):
-        if name == "matmeans" or name.startswith("matmeans."):
-            for attr, value in list(vars(module).items()):
-                if callable(value) and value in counted:
-                    monkeypatch.setattr(module, attr, counted[value])
+    script = importlib.util.spec_from_file_location("eigensolve_counts", _EIGENSOLVE_COUNTS)
+    module = importlib.util.module_from_spec(script)
+    script.loader.exec_module(module)
+    tally = module.Tally()
+    for owner, attr, wrapper in tally.bindings():
+        monkeypatch.setattr(owner, attr, wrapper)
     suite.paper_counterexample.cache_clear()  # P6's pair is solved in this round
     for d in range(2, 7):
         args = ["check", "--seed", str(1000 + d), "--dims", str(d), "--count", "6", *extra,
                 "--out", str(tmp_path / "report.jsonl")]
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(args)
-    assert counts == want
+    assert tally.counts == want
